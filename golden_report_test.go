@@ -31,18 +31,34 @@ func goldenReport(t *testing.T, workers int, opts ...bankaware.RunnerOption) []b
 	return buf.Bytes()
 }
 
-// TestGoldenRunReport pins the run-report JSON end to end: schema, field
-// layout, and every value of a fixed-seed campaign. A deliberate schema or
-// behaviour change regenerates the file with `go test -run Golden -update`;
-// anything else failing here is an unintended drift in either the simulator
-// or the report encoding.
+// TestGoldenRunReport pins the run-report JSON end to end at both
+// fidelities: schema, field layout, and every value of a fixed-seed
+// campaign — the epoch series, partition events and registry snapshot
+// included. A deliberate schema or behaviour change regenerates the files
+// with `go test -run Golden -update`; anything else failing here is an
+// unintended drift in either engine or in the report encoding.
 func TestGoldenRunReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full set evaluation in -short mode")
 	}
-	got := goldenReport(t, 1)
+	for _, tc := range []struct {
+		fidelity bankaware.Fidelity
+		file     string
+	}{
+		{bankaware.FidelityDetailed, "golden-set1-report.json"},
+		{bankaware.FidelityFast, "golden-set1-fast-report.json"},
+	} {
+		t.Run(string(tc.fidelity), func(t *testing.T) {
+			checkGoldenReport(t, goldenReport(t, 1, bankaware.WithFidelity(tc.fidelity)), filepath.Join("testdata", tc.file))
+		})
+	}
+}
 
-	path := filepath.Join("testdata", "golden-set1-report.json")
+// checkGoldenReport compares got against the golden file at path (rewriting
+// it first under -update) and checks the acceptance shape: per-epoch
+// per-core series and at least one dynamic partition change.
+func checkGoldenReport(t *testing.T, got []byte, path string) {
+	t.Helper()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -66,8 +82,6 @@ func TestGoldenRunReport(t *testing.T) {
 		t.Fatal("run report drifted from golden file (see diff lines above; -update if intended)")
 	}
 
-	// The pinned report must demonstrate the acceptance shape: per-epoch
-	// per-core series and at least one dynamic partition change.
 	rep, err := bankaware.ReadReport(bytes.NewReader(got))
 	if err != nil {
 		t.Fatal(err)
