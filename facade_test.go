@@ -1,6 +1,7 @@
 package bankaware_test
 
 import (
+	"context"
 	"testing"
 
 	"bankaware"
@@ -67,7 +68,7 @@ func TestFacadeCatalog(t *testing.T) {
 func TestFacadeMonteCarlo(t *testing.T) {
 	cfg := bankaware.DefaultMonteCarloConfig()
 	cfg.Trials = 20
-	res, err := bankaware.RunMonteCarlo(cfg)
+	res, err := bankaware.RunMonteCarloContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,11 +209,10 @@ type PolicyRun struct {
 // measurement window; sample, when non-nil, taps the measured phase's epoch
 // samples live.
 func runPolicy(ctx context.Context, cfg sim.Config, specs []trace.Spec, proto core.Policy, workloads []string, instructions uint64, fidelity Fidelity, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
-	sys, err := newEngine(fidelity, cfg, core.ClonePolicy(proto), specs)
+	sys, err := newEngine(fidelity, cfg, core.ClonePolicy(proto), specs, simWorkers)
 	if err != nil {
 		return PolicyRun{}, err
 	}
-	sys.SetSimWorkers(simWorkers)
 	var rec *metrics.Recorder
 	if observe {
 		rec = metrics.NewRecorder()

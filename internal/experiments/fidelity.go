@@ -55,7 +55,6 @@ func Fidelities() []string {
 // fastsim.System both implement it; which one backs a run is decided by
 // Options.Fidelity.
 type engine interface {
-	SetSimWorkers(int)
 	EnableMetrics(rec *metrics.Recorder) *metrics.Recorder
 	RunContext(ctx context.Context, instructions uint64) error
 	ResetStats()
@@ -64,11 +63,19 @@ type engine interface {
 }
 
 // newEngine constructs the engine for one run at the given fidelity.
-func newEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec) (engine, error) {
+// simWorkers bounds the detailed engine's execution lanes (see
+// sim.System.SetSimWorkers); the fast engine has no intra-run event loop
+// to spread over them.
+func newEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec, simWorkers int) (engine, error) {
 	if f == FidelityFast {
 		return fastsim.New(cfg, policy, specs)
 	}
-	return sim.New(cfg, policy, specs)
+	sys, err := sim.New(cfg, policy, specs)
+	if err != nil {
+		return nil, err
+	}
+	sys.SetSimWorkers(simWorkers)
+	return sys, nil
 }
 
 // fidelityTag is the result/report stamp for a fidelity: detailed runs

@@ -48,6 +48,16 @@ func BankKind(b int) Kind {
 	return Center
 }
 
+// DropLatency returns the extra one-way latency of bank b's drop link: a
+// Center bank's +1 hop is not part of the router chain, and costs half of
+// a per-hop round trip. Local banks sit on the chain and add nothing.
+func DropLatency(b int) int64 {
+	if BankKind(b) == Center {
+		return int64((MaxLatency - MinLatency) / (2 * maxHops))
+	}
+	return 0
+}
+
 // LocalBankOf returns the Local bank adjacent to core c (bank id == core id
 // in this floorplan).
 func LocalBankOf(core int) int {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"bankaware/internal/core"
 	"bankaware/internal/faults"
 	"bankaware/internal/metrics"
 	"bankaware/internal/nuca"
@@ -16,14 +15,11 @@ var missLatencyBounds = []float64{300, 400, 600, 1000, 2000, 5000}
 // EnableMetrics attaches the observation layer: every component registers
 // its counters into the recorder's registry, the L2 miss-latency histogram
 // starts filling, and from now on each epoch boundary closes a time-series
-// window and logs the policy's allocation changes. Passing nil creates a
-// fresh recorder. Call it once, right after construction; it returns the
-// recorder in use.
+// window and logs the policy's allocation changes and the faults that
+// opened. Passing nil creates a fresh recorder. Call it once, right after
+// construction; it returns the recorder in use.
 func (s *System) EnableMetrics(rec *metrics.Recorder) *metrics.Recorder {
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	s.rec = rec
+	rec = s.Controller.EnableMetrics(rec)
 	reg := rec.Registry
 	for c := 0; c < nuca.NumCores; c++ {
 		s.cores[c].RegisterMetrics(reg, fmt.Sprintf("cpu.core%d", c))
@@ -36,106 +32,9 @@ func (s *System) EnableMetrics(rec *metrics.Recorder) *metrics.Recorder {
 	s.dram.RegisterMetrics(reg, "dram")
 	s.net.RegisterMetrics(reg, "net")
 	s.dir.RegisterMetrics(reg, "coherence")
-	reg.RegisterFunc("sim.epochs", func() float64 { return float64(s.epochs) })
 	s.missLat = reg.Histogram("l2.miss_latency", missLatencyBounds)
-	s.seedWindowBaselines()
-	s.recordAllocEvents(s.alloc, nil, 0, s.maxNow())
 	s.recordFaultEvents(s.cfg.Faults.ActiveAt(s.epochs-1), 0, s.maxNow())
 	return rec
-}
-
-// Observed returns the attached recorder (nil when EnableMetrics was never
-// called).
-func (s *System) Observed() *metrics.Recorder { return s.rec }
-
-// maxNow returns the most advanced core clock — the system's notion of
-// "now" for sampling purposes.
-func (s *System) maxNow() int64 {
-	var t int64
-	for _, c := range s.cores {
-		if c.Now() > t {
-			t = c.Now()
-		}
-	}
-	return t
-}
-
-// seedWindowBaselines marks the current counters as the start of the next
-// epoch window.
-func (s *System) seedWindowBaselines() {
-	for c := 0; c < nuca.NumCores; c++ {
-		s.winInstr[c] = s.cores[c].Instructions()
-		s.winCycles[c] = s.cores[c].Now()
-		s.winL2Access[c] = s.l2Hits[c] + s.l2Misses[c]
-		s.winL2Miss[c] = s.l2Misses[c]
-	}
-}
-
-// sampleWindow closes the epoch window ending at cycle now: per-core
-// deltas since the window baselines, derived miss rate and IPC, the way
-// allocation that was in effect, and per-bank occupancy. Windows with no
-// activity are skipped, which makes the final flush idempotent.
-func (s *System) sampleWindow(now int64) {
-	cores := make([]metrics.CoreSample, nuca.NumCores)
-	active := false
-	for c := 0; c < nuca.NumCores; c++ {
-		instr := s.cores[c].Instructions() - s.winInstr[c]
-		cyc := s.cores[c].Now() - s.winCycles[c]
-		acc := s.l2Hits[c] + s.l2Misses[c] - s.winL2Access[c]
-		miss := s.l2Misses[c] - s.winL2Miss[c]
-		cs := metrics.CoreSample{
-			Instructions: instr,
-			Cycles:       cyc,
-			L2Accesses:   acc,
-			L2Misses:     miss,
-			Ways:         s.alloc.Ways[c],
-		}
-		if acc > 0 {
-			cs.MissRate = float64(miss) / float64(acc)
-		}
-		if cyc > 0 {
-			cs.IPC = float64(instr) / float64(cyc)
-		}
-		if instr > 0 || acc > 0 {
-			active = true
-		}
-		cores[c] = cs
-	}
-	if !active {
-		return
-	}
-	s.seedWindowBaselines()
-	occ := make([]int, nuca.NumBanks)
-	for b := range s.banks {
-		occ[b] = s.banks[b].ValidLines()
-	}
-	sample := metrics.EpochSample{
-		Epoch:         len(s.rec.Samples) + 1,
-		EndCycle:      now,
-		Cores:         cores,
-		BankOccupancy: occ,
-	}
-	s.rec.Samples = append(s.rec.Samples, sample)
-	if s.rec.OnSample != nil {
-		s.rec.OnSample(sample)
-	}
-}
-
-// recordAllocEvents logs every core whose assignment differs between old
-// and next (old may be nil: the initial install, every core reported).
-func (s *System) recordAllocEvents(next, old *core.Allocation, epoch int, cycle int64) {
-	for _, ch := range next.DiffFrom(old) {
-		s.rec.Events = append(s.rec.Events, metrics.PartitionEvent{
-			Epoch:    epoch,
-			Cycle:    cycle,
-			Policy:   s.policy.Name(),
-			Core:     ch.Core,
-			OldWays:  ch.OldWays,
-			NewWays:  ch.NewWays,
-			OldBanks: ch.OldBanks,
-			NewBanks: ch.NewBanks,
-		})
-	}
 }
 
 // recordFaultEvents logs injected faults into the recorder under the given
@@ -153,55 +52,4 @@ func (s *System) recordFaultEvents(evs []faults.Event, epoch int, cycle int64) {
 			Duration:    ev.Duration,
 		})
 	}
-}
-
-// RunReport exports the measurement window as a run report: the Result
-// totals plus, when EnableMetrics is attached, the epoch time series, the
-// partition-event log, and a registry snapshot. It flushes the final
-// partial epoch window first. name defaults to the policy name.
-func (s *System) RunReport(name string, workloads []string) metrics.RunReport {
-	res := s.Result(workloads)
-	if name == "" {
-		name = res.Policy
-	}
-	rr := metrics.RunReport{
-		Name:      name,
-		Policy:    res.Policy,
-		Workloads: append([]string(nil), workloads...),
-		Epochs:    res.Epochs,
-		Totals: metrics.RunTotals{
-			L2Accesses: res.TotalL2Accesses,
-			L2Misses:   res.TotalL2Misses,
-			MissRatio:  res.MissRatio,
-			MeanCPI:    res.MeanCPI,
-		},
-	}
-	for c := 0; c < nuca.NumCores; c++ {
-		cr := res.Cores[c]
-		ct := metrics.CoreTotals{
-			Workload:     cr.Workload,
-			Instructions: cr.Instructions,
-			Cycles:       cr.Cycles,
-			L1Accesses:   cr.L1Accesses,
-			L2Accesses:   cr.L2Accesses,
-			L2Misses:     cr.L2Misses,
-			CPI:          cr.CPI,
-			Ways:         cr.Ways,
-		}
-		if cr.L2Accesses > 0 {
-			ct.MissRate = float64(cr.L2Misses) / float64(cr.L2Accesses)
-		}
-		if cr.Cycles > 0 {
-			ct.IPC = float64(cr.Instructions) / float64(cr.Cycles)
-		}
-		rr.Cores = append(rr.Cores, ct)
-	}
-	if s.rec != nil {
-		s.sampleWindow(s.maxNow())
-		rr.EpochSeries = append([]metrics.EpochSample(nil), s.rec.Samples...)
-		rr.PartitionEvents = append([]metrics.PartitionEvent(nil), s.rec.Events...)
-		rr.FaultEvents = append([]metrics.FaultEvent(nil), s.rec.Faults...)
-		rr.Metrics = s.rec.Registry.Snapshot()
-	}
-	return rr
 }

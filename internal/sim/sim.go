@@ -151,10 +151,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// System is one simulated machine instance.
+// System is one simulated machine instance. The embedded Controller runs
+// its epoch boundaries and records them; System produces the profiler
+// curves, installs the allocations and reports its counters.
 type System struct {
-	cfg    Config
-	policy core.Policy
+	Controller
+	cfg Config
 
 	cores   []*cpu.Core
 	streams []trace.Stream
@@ -165,7 +167,6 @@ type System struct {
 	dram    *mem.Memory
 	profs   []*msa.Profiler
 
-	alloc     *core.Allocation
 	coreBanks [nuca.NumCores][]int // per-core placement ring (bank repeated per owned way)
 	bankList  [nuca.NumCores][]int // per-core owned banks, unique, in bank order
 	rr        [nuca.NumCores]int
@@ -175,12 +176,11 @@ type System struct {
 	// events so the steady-state step loop allocates nothing. Curve buffers
 	// come in two sets ping-ponged between epochs: lastCurves always refers
 	// to the set written one epoch ago, so the stale-profiler replay reads
-	// intact data while the other set is overwritten in place. weightBuf and
-	// ownerBuf are safe to reuse because SetFeedback and SetWayOwners copy.
+	// intact data while the other set is overwritten in place. ownerBuf is
+	// safe to reuse because SetWayOwners copies.
 	curveSets [2][]core.MissCurve
 	curveBufs [2][nuca.NumCores][]float64
 	curveFlip int
-	weightBuf [nuca.NumCores]float64
 	ownerBuf  [nuca.WaysPerBank]cache.OwnerMask
 	invalBuf  []int
 
@@ -206,10 +206,11 @@ type System struct {
 
 	nextEpoch int64
 	nextCheck int64
-	epochs    int
 	// quarter-window miss volumes for the adaptive-epoch phase detector.
 	quarterMisses, prevQuarter [nuca.NumCores]uint64
 
+	// Cumulative access counters; the controller's baselines mark the
+	// measurement window.
 	l1Hits, l1Misses [nuca.NumCores]uint64
 	l2Hits, l2Misses [nuca.NumCores]uint64
 	finished         [nuca.NumCores]bool
@@ -219,21 +220,8 @@ type System struct {
 	epochMissCycles [nuca.NumCores]int64
 	epochMisses     [nuca.NumCores]uint64
 
-	// Measurement-window baselines, captured by ResetStats so warm-up
-	// activity is excluded from reported results.
-	baseInstr  [nuca.NumCores]uint64
-	baseCycles [nuca.NumCores]int64
-
-	// Observation layer (nil unless EnableMetrics was called): the
-	// recorder collecting epoch samples and partition events, the
-	// miss-latency histogram, and per-core baselines marking where the
-	// current epoch window started.
-	rec         *metrics.Recorder
-	missLat     *metrics.Histogram
-	winInstr    [nuca.NumCores]uint64
-	winCycles   [nuca.NumCores]int64
-	winL2Access [nuca.NumCores]uint64
-	winL2Miss   [nuca.NumCores]uint64
+	// L2 miss-latency histogram (nil unless EnableMetrics was called).
+	missLat *metrics.Histogram
 }
 
 // New builds a system running the given workload specs (one per core) under
@@ -271,7 +259,6 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 	}
 	s := &System{
 		cfg:     cfg,
-		policy:  policy,
 		streams: streams,
 		dir:     coherence.NewDirectory(),
 		// One-way per-hop wire latency: half of the paper's 60/7-cycle
@@ -304,6 +291,7 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 		}
 		s.banks[b] = bank
 	}
+	s.Controller = NewController(s, policy)
 	s.nextEpoch = cfg.EpochCycles
 	s.nextCheck = cfg.EpochCycles / 4
 	if err := s.repartition(0); err != nil {
@@ -311,16 +299,6 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 	}
 	return s, nil
 }
-
-// Policy returns the active policy.
-func (s *System) Policy() core.Policy { return s.policy }
-
-// Allocation returns the current physical allocation.
-func (s *System) Allocation() *core.Allocation { return s.alloc }
-
-// Epochs returns how many repartitionings have run (including the initial
-// one).
-func (s *System) Epochs() int { return s.epochs }
 
 // DirectoryStats returns the MOESI directory's protocol counters.
 func (s *System) DirectoryStats() coherence.Stats { return s.dir.Stats() }
@@ -336,11 +314,9 @@ func (s *System) NetworkStats() interconnect.Stats { return s.net.Stats() }
 // DRAMStats returns the memory channel's counters.
 func (s *System) DRAMStats() mem.Stats { return s.dram.Stats() }
 
-// repartition runs the policy on the profilers' current curves and installs
-// the resulting way masks. now is the cycle at which the boundary fired
-// (zero for the initial allocation); the observation layer samples the
-// closing epoch window and records the allocation diff before the new
-// masks take effect.
+// repartition runs the controller's epoch boundary on the profilers'
+// current curves and installs the resulting way masks. now is the cycle at
+// which the boundary fired (zero for the initial allocation).
 func (s *System) repartition(now int64) error {
 	// Parallel runs: settle every queued profiler access before the curves
 	// (and the decay below) read the profilers.
@@ -383,39 +359,19 @@ func (s *System) repartition(now int64) error {
 		}
 		s.lastCurves = curves
 	}
-	if fp, ok := s.policy.(core.FeedbackPolicy); ok {
-		fp.SetFeedback(s.missCostWeights())
+	var cost [nuca.NumCores]MissCost
+	for c := range cost {
+		cost[c] = MissCost{float64(s.epochMissCycles[c]), float64(s.epochMisses[c])}
 	}
-	var alloc *core.Allocation
-	var err error
-	if snap.Failed != 0 {
-		dp, ok := s.policy.(core.DegradedPolicy)
-		if !ok {
-			return fmt.Errorf("sim: policy %s cannot re-partition around failed banks %v",
-				s.policy.Name(), snap.Failed)
-		}
-		alloc, err = dp.AllocateDegraded(curves, snap.Failed)
-	} else {
-		alloc, err = s.policy.Allocate(curves)
-	}
+	alloc, err := s.EpochBoundary(now, curves, snap.Failed, cost)
 	if err != nil {
-		return fmt.Errorf("sim: %s allocation failed: %w", s.policy.Name(), err)
+		return err
 	}
-	if alloc.Failed != snap.Failed {
-		return fmt.Errorf("sim: %s allocation marks banks %v failed, fault plan says %v",
-			s.policy.Name(), alloc.Failed, snap.Failed)
-	}
-	if err := alloc.Validate(); err != nil {
-		return fmt.Errorf("sim: %s produced invalid allocation: %w", s.policy.Name(), err)
-	}
-	if s.rec != nil && s.alloc != nil {
-		// Close the epoch window under the outgoing allocation, then log
-		// what the policy changed and which faults opened here.
-		s.sampleWindow(now)
-		s.recordAllocEvents(alloc, s.alloc, len(s.rec.Samples), now)
+	if s.rec != nil && epoch > 0 {
+		// Log which faults opened at this boundary, under the epoch window
+		// the controller just closed.
 		s.recordFaultEvents(s.cfg.Faults.StartingAt(epoch), len(s.rec.Samples), now)
 	}
-	s.alloc = alloc
 	for b := range s.banks {
 		owners := s.ownerBuf[:]
 		copy(owners, alloc.WayOwners[b][:])
@@ -460,38 +416,28 @@ func (s *System) repartition(now int64) error {
 	for c := range s.epochMissCycles {
 		s.epochMissCycles[c], s.epochMisses[c] = 0, 0
 	}
-	s.epochs++
 	return nil
 }
 
-// missCostWeights summarises the epoch's memory-subsystem pressure per
-// core: each core's average miss latency relative to the across-core mean.
-// Cores whose misses queued longest get weights above one. Cores with no
-// misses report zero (FeedbackPolicy keeps their previous weight).
-func (s *System) missCostWeights() []float64 {
-	avg := s.weightBuf[:]
-	for c := range avg {
-		avg[c] = 0
+// CoreCounters reports core c's cumulative counters to the controller.
+func (s *System) CoreCounters(c int) CoreCounters {
+	return CoreCounters{
+		Instructions: s.cores[c].Instructions(),
+		Cycles:       s.cores[c].Now(),
+		L1Accesses:   s.l1Hits[c] + s.l1Misses[c],
+		L1Misses:     s.l1Misses[c],
+		L2Accesses:   s.l2Hits[c] + s.l2Misses[c],
+		L2Misses:     s.l2Misses[c],
 	}
-	var sum float64
-	var n int
-	for c := range avg {
-		if s.epochMisses[c] > 0 {
-			avg[c] = float64(s.epochMissCycles[c]) / float64(s.epochMisses[c])
-			sum += avg[c]
-			n++
-		}
+}
+
+// BankOccupancy reports every L2 bank's valid lines.
+func (s *System) BankOccupancy() []int {
+	occ := make([]int, nuca.NumBanks)
+	for b := range s.banks {
+		occ[b] = s.banks[b].ValidLines()
 	}
-	if n == 0 {
-		return avg
-	}
-	mean := sum / float64(n)
-	for c := range avg {
-		if avg[c] > 0 {
-			avg[c] /= mean
-		}
-	}
-	return avg
+	return occ
 }
 
 // hashBank statically maps a block address to one of n banks, mixing the
@@ -502,15 +448,6 @@ func hashBank(addr trace.Addr, n int) int {
 	blk *= 0x9e3779b97f4a7c15
 	blk ^= blk >> 29
 	return int(blk % uint64(n))
-}
-
-// dropLatency is the extra one-way latency of a Center bank's drop link
-// (its +1 hop is not part of the router chain).
-func dropLatency(bank int) int64 {
-	if nuca.BankKind(bank) == nuca.Center {
-		return int64((nuca.MaxLatency - nuca.MinLatency) / (2 * 7))
-	}
-	return 0
 }
 
 // step advances core c by one memory access. Returns the core's new local
@@ -640,7 +577,7 @@ func (s *System) l2Access(c int, addr trace.Addr, write bool, issueAt int64) int
 	}
 
 	// Request path.
-	reqArrive := s.net.Transfer(c, nuca.RouterOf(target), issueAt, s.cfg.ReqFlits) + dropLatency(target)
+	reqArrive := s.net.Transfer(c, nuca.RouterOf(target), issueAt, s.cfg.ReqFlits) + nuca.DropLatency(target)
 	bankStart := reqArrive
 	if s.bankFree[target] > bankStart {
 		bankStart = s.bankFree[target]
@@ -666,12 +603,12 @@ func (s *System) l2Access(c int, addr trace.Addr, write bool, issueAt int64) int
 
 	if hit {
 		s.l2Hits[c]++
-		start := dataReady + dropLatency(target)
+		start := dataReady + nuca.DropLatency(target)
 		return s.net.Transfer(nuca.RouterOf(target), c, start, s.cfg.DataFlits)
 	}
 	s.l2Misses[c]++
 	memDone := s.dram.Request(uint64(addr), dataReady)
-	start := memDone + dropLatency(target)
+	start := memDone + nuca.DropLatency(target)
 	done := s.net.Transfer(nuca.RouterOf(target), c, start, s.cfg.DataFlits)
 	s.epochMissCycles[c] += done - issueAt
 	s.epochMisses[c]++
@@ -768,20 +705,15 @@ func (s *System) phaseShifted() bool {
 	return shifted
 }
 
-// ResetStats zeroes the measurement counters after warm-up, keeping all
+// ResetStats starts the measurement window after warm-up, keeping all
 // cache, profiler and timing state. Every shared-resource counter resets
 // together — DRAM channels and the MOESI directory included — so
 // DRAMStats/DirectoryStats report the measurement window only, consistent
 // with Result. The observation layer realigns with the window: recorded
-// samples and events are dropped and the current allocation is re-logged
-// as the window's initial state.
+// samples and events are dropped and the current allocation and active
+// faults are re-logged as the window's initial state.
 func (s *System) ResetStats() {
-	for c := 0; c < nuca.NumCores; c++ {
-		s.l1Hits[c], s.l1Misses[c] = 0, 0
-		s.l2Hits[c], s.l2Misses[c] = 0, 0
-		s.baseInstr[c] = s.cores[c].Instructions()
-		s.baseCycles[c] = s.cores[c].Now()
-	}
+	s.Controller.ResetStats()
 	for b := range s.banks {
 		s.banks[b].ResetStats()
 	}
@@ -789,12 +721,9 @@ func (s *System) ResetStats() {
 	s.dram.ResetStats()
 	s.dir.ResetStats()
 	if s.rec != nil {
-		s.rec.ResetSeries()
 		if s.missLat != nil {
 			s.missLat.Reset()
 		}
-		s.seedWindowBaselines()
-		s.recordAllocEvents(s.alloc, nil, 0, s.maxNow())
 		s.recordFaultEvents(s.cfg.Faults.ActiveAt(s.epochs-1), 0, s.maxNow())
 	}
 }

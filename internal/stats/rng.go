@@ -86,7 +86,9 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		panic("stats: Geometric requires p in (0,1]")
 	}
-	// Inverse-CDF sampling, capped to keep pathological draws bounded.
+	// Counts failed Bernoulli(p) trials before the first success: one
+	// Float64 draw per trial, so O(1/p) draws per sample. Capped to keep
+	// pathological draws bounded.
 	n := 0
 	for !r.Bool(p) {
 		n++

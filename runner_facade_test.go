@@ -9,10 +9,10 @@ import (
 	"bankaware"
 )
 
-func TestRunnerMonteCarloMatchesDeprecatedShim(t *testing.T) {
+func TestRunnerMonteCarloMatchesOneShot(t *testing.T) {
 	cfg := bankaware.DefaultMonteCarloConfig()
 	cfg.Trials = 60
-	old, err := bankaware.RunMonteCarlo(cfg)
+	old, err := bankaware.RunMonteCarloContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestRunnerMonteCarloMatchesDeprecatedShim(t *testing.T) {
 	}
 	for i := range old.Trials {
 		if old.Trials[i] != res.Trials[i] {
-			t.Fatalf("trial %d differs between deprecated shim and Runner", i)
+			t.Fatalf("trial %d differs between RunMonteCarloContext and Runner", i)
 		}
 	}
 }
