@@ -438,13 +438,11 @@ func BenchmarkServiceSubmitThroughput(b *testing.B) { benchmarks.ServiceSubmitTh
 func BenchmarkServiceCachedSubmit(b *testing.B) { benchmarks.ServiceCachedSubmit(b) }
 
 // BenchmarkGeneratorNext measures the stack-distance workload generator.
-func BenchmarkGeneratorNext(b *testing.B) {
-	g := trace.MustGenerator(trace.MustSpec("bzip2"), stats.NewRNG(5, 6), trace.GeneratorConfig{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
-}
+func BenchmarkGeneratorNext(b *testing.B) { benchmarks.GeneratorNext(b) }
+
+// BenchmarkFastSet1Run measures one warm-profile fast-engine run of Table
+// III set 1 at 10 M instructions per core.
+func BenchmarkFastSet1Run(b *testing.B) { benchmarks.FastSet1Run(b) }
 
 // BenchmarkBankAwareAllocator measures one full Fig. 6 allocation.
 func BenchmarkBankAwareAllocator(b *testing.B) {

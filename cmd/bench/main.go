@@ -74,10 +74,12 @@ var suite = []struct {
 	{"ProfilerAccessUnsampled", benchmarks.ProfilerAccessUnsampled},
 	{"DirectoryAccess", benchmarks.DirectoryAccess},
 	{"MSHRFill", benchmarks.MSHRFill},
+	{"GeneratorNext", benchmarks.GeneratorNext},
 	{"SystemStep", benchmarks.SystemStep},
 	{"SystemStepParallel2", benchmarks.SystemStepParallel2},
 	{"SystemStepParallel4", benchmarks.SystemStepParallel4},
 	{"SystemStepParallel8", benchmarks.SystemStepParallel8},
+	{"FastSet1Run", benchmarks.FastSet1Run},
 	{"ServiceSubmitThroughput", benchmarks.ServiceSubmitThroughput},
 	{"ServiceCachedSubmit", benchmarks.ServiceCachedSubmit},
 }

@@ -17,7 +17,6 @@ import (
 	"bankaware/internal/core"
 	"bankaware/internal/experiments"
 	"bankaware/internal/msa"
-	"bankaware/internal/nuca"
 	"bankaware/internal/sim"
 	"bankaware/internal/stats"
 	"bankaware/internal/trace"
@@ -121,14 +120,20 @@ func SystemStepParallel2(b *testing.B) { systemStep(b, 2) }
 func SystemStepParallel4(b *testing.B) { systemStep(b, 4) }
 func SystemStepParallel8(b *testing.B) { systemStep(b, 8) }
 
+// set1Specs returns the workload specs of Table III set 1, the golden mix.
+func set1Specs() []trace.Spec {
+	set := experiments.TableIIISets[0]
+	specs := make([]trace.Spec, len(set))
+	for i, name := range set {
+		specs[i] = trace.MustSpec(name)
+	}
+	return specs
+}
+
 func systemStep(b *testing.B, simWorkers int) {
 	cfg := experiments.ScaleModel.Config()
-	specs := make([]trace.Spec, nuca.NumCores)
 	set := experiments.TableIIISets[0]
-	for i := range specs {
-		specs[i] = trace.MustSpec(set[i])
-	}
-	sys, err := sim.New(cfg, core.NewBankAwarePolicy(), specs)
+	sys, err := sim.New(cfg, core.NewBankAwarePolicy(), set1Specs())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -154,6 +159,18 @@ func systemStep(b *testing.B, simWorkers int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(cycles)/sec, "simCycles/sec")
 		b.ReportMetric(float64(instr)/sec, "simInstr/sec")
+	}
+}
+
+// GeneratorNext measures the stack-distance workload generator, the
+// largest layer of a detailed run: one event per op on bzip2, whose deep
+// reuse distances keep the LRU stack's rank lookups long.
+func GeneratorNext(b *testing.B) {
+	g := trace.MustGenerator(trace.MustSpec("bzip2"), stats.NewRNG(5, 6), trace.GeneratorConfig{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Next()
 	}
 }
 

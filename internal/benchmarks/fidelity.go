@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"testing"
 	"time"
 
 	"bankaware/internal/core"
@@ -121,12 +122,7 @@ func FidelityCampaignDeltas(ctx context.Context) (relMiss, relCPI float64, err e
 // the given per-core budget with warm profile caches (the steady state a
 // campaign amortises to) and returns the wall-clock ratio.
 func FidelitySpeedup(ctx context.Context, instructions uint64) (detailed, fast time.Duration, err error) {
-	cfg := experiments.ScaleModel.Config()
-	cfg.Seed = 1
-	specs := make([]trace.Spec, len(experiments.TableIIISets[0]))
-	for i, name := range experiments.TableIIISets[0] {
-		specs[i] = trace.MustSpec(name)
-	}
+	cfg, specs := speedupConfig(), set1Specs()
 	// Warm the per-process profile cache.
 	if _, err := fastsim.New(cfg, core.EqualPolicy{}, specs); err != nil {
 		return 0, 0, err
@@ -141,12 +137,45 @@ func FidelitySpeedup(ctx context.Context, instructions uint64) (detailed, fast t
 	}
 	detailed = time.Since(start)
 	start = time.Now()
-	fs, err := fastsim.New(cfg, core.EqualPolicy{}, specs)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := fs.RunContext(ctx, instructions); err != nil {
+	if err := runFast(ctx, cfg, specs, instructions); err != nil {
 		return 0, 0, err
 	}
 	return detailed, time.Since(start), nil
+}
+
+// speedupConfig is the machine both engines race on: the 1/16-scale config
+// at seed 1.
+func speedupConfig() sim.Config {
+	cfg := experiments.ScaleModel.Config()
+	cfg.Seed = 1
+	return cfg
+}
+
+// runFast builds a fast-engine system under the Equal policy and runs it
+// for the given per-core budget.
+func runFast(ctx context.Context, cfg sim.Config, specs []trace.Spec, instructions uint64) error {
+	fs, err := fastsim.New(cfg, core.EqualPolicy{}, specs)
+	if err != nil {
+		return err
+	}
+	return fs.RunContext(ctx, instructions)
+}
+
+// FastSet1Run measures one fast-engine run of Table III set 1 at 10 M
+// instructions per core with a warm profile cache — the fast half of
+// FidelitySpeedup: construction (the window streams) plus the epochs and
+// their micro-replay windows.
+func FastSet1Run(b *testing.B) {
+	cfg, specs := speedupConfig(), set1Specs()
+	// Warm the per-process profile cache.
+	if _, err := fastsim.New(cfg, core.EqualPolicy{}, specs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := runFast(context.Background(), cfg, specs, 10_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -51,6 +51,10 @@ type microEvent struct {
 type coreStream struct {
 	events []microEvent
 	l2Idx  []int32 // indices of L2 events, in stream order
+	// l2Sorted holds the L2 events' u2 draws, parallel to l2Idx but
+	// sorted within each missStride block, so rank placement reads a
+	// block's k-th smallest u2 without sorting per window.
+	l2Sorted []float64
 }
 
 // buildStreams draws every core's window stream from the run seed. Stream
@@ -72,6 +76,8 @@ func buildStreams(seed uint64, profs []*profile) []coreStream {
 		// chosen by rank among the block's uniforms.
 		carry := 0.0
 		u1 := make([]float64, missStride)
+		scratch := make([]float64, missStride)
+		nL2 := 0
 		for blk := 0; blk < n; blk += missStride {
 			end := blk + missStride
 			if end > n {
@@ -86,7 +92,8 @@ func buildStreams(seed uint64, profs []*profile) []coreStream {
 			}
 			thresh := math.Inf(1)
 			if k < size {
-				sorted := append([]float64(nil), u1[:size]...)
+				sorted := scratch[:size]
+				copy(sorted, u1)
 				sort.Float64s(sorted)
 				if k > 0 {
 					thresh = sorted[k-1]
@@ -98,16 +105,25 @@ func buildStreams(seed uint64, profs []*profile) []coreStream {
 				ev := &st.events[blk+i]
 				ev.gap = int32(rng.Geometric(p.gapP))
 				ev.isL2 = u1[i] <= thresh
+				if ev.isL2 {
+					nL2++
+				}
 				ev.u2 = rng.Float64()
 				ev.uB = rng.Float64()
 				ev.uW = rng.Float64()
 				ev.uC = rng.Float64()
 			}
 		}
+		st.l2Idx = make([]int32, 0, nL2)
+		st.l2Sorted = make([]float64, 0, nL2)
 		for i, ev := range st.events {
 			if ev.isL2 {
 				st.l2Idx = append(st.l2Idx, int32(i))
+				st.l2Sorted = append(st.l2Sorted, ev.u2)
 			}
+		}
+		for blk := 0; blk < len(st.l2Sorted); blk += missStride {
+			sort.Float64s(st.l2Sorted[blk:min(blk+missStride, len(st.l2Sorted))])
 		}
 		streams[c] = st
 	}
@@ -171,14 +187,10 @@ func classifyMisses(st *coreStream, m2, runTarget float64, flags []bool) []bool 
 			continue
 		}
 		if !clustered {
-			// Rank placement: the k smallest u2 of the block miss.
-			buf := make([]float64, size)
-			for i := 0; i < size; i++ {
-				buf[i] = st.events[st.l2Idx[blk+i]].u2
-			}
-			tmp := append([]float64(nil), buf...)
-			sort.Float64s(tmp)
-			thresh := tmp[k-1]
+			// Rank placement: the k smallest u2 of the block miss. The
+			// block is a missStride block, so its sorted draws are
+			// precomputed.
+			thresh := st.l2Sorted[blk+k-1]
 			marked := 0
 			for i := 0; i < size && marked < k; i++ {
 				idx := st.l2Idx[blk+i]

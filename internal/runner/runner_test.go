@@ -58,18 +58,26 @@ func TestFirstErrorWinsAndCancelsRest(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
 	_, err := Map(context.Background(), Config{Workers: 2}, 1000,
-		func(_ context.Context, job int) (int, error) {
+		func(ctx context.Context, job int) (int, error) {
 			ran.Add(1)
-			if job == 3 {
+			switch {
+			case job == 3:
 				return 0, fmt.Errorf("job 3: %w", boom)
+			case job > 3:
+				// Hold every later job until the failure cancels the
+				// queue, so no worker can drain it first however the
+				// two are scheduled.
+				<-ctx.Done()
+				return 0, ctx.Err()
 			}
 			return job, nil
 		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if n := ran.Load(); n == 1000 {
-		t.Fatal("failure did not stop the queue")
+	// Jobs 0-3, plus at most one held job per worker.
+	if n := ran.Load(); n > 5 {
+		t.Fatalf("%d jobs ran: failure did not stop the queue", n)
 	}
 }
 

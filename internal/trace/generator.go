@@ -63,6 +63,10 @@ func NewGenerator(spec Spec, rng *stats.RNG, cfg GeneratorConfig) (*Generator, e
 	if bpw <= 0 {
 		bpw = DefaultBlocksPerWay
 	}
+	// Burn the two parent draws a sub-stream split takes. Every later
+	// draw of the workload stream, and so every output byte, is positioned
+	// after them.
+	rng.Split(0xface)
 	hm, cold, loop := spec.normalized()
 	cum := make([]float64, len(hm))
 	acc := 0.0
@@ -73,7 +77,7 @@ func NewGenerator(spec Spec, rng *stats.RNG, cfg GeneratorConfig) (*Generator, e
 	g := &Generator{
 		spec:         spec,
 		rng:          rng,
-		stack:        newLRUStack(rng.Split(0xface)),
+		stack:        newLRUStack(),
 		cumMass:      cum,
 		reuseCut:     1 - cold - loop,
 		loopCut:      1 - cold,
@@ -154,9 +158,7 @@ func (g *Generator) nextAddr() Addr {
 			// The stack is not deep enough yet (warm-up) — treat as cold.
 			return g.coldAddr()
 		}
-		addr := g.stack.RemoveAt(depth)
-		g.stack.PushFront(addr)
-		return addr
+		return g.stack.MoveToFront(depth)
 	}
 	return g.coldAddr()
 }
@@ -167,9 +169,7 @@ func (g *Generator) coldAddr() Addr {
 		// streaming). In any cache smaller than the footprint this is
 		// indistinguishable from a compulsory miss, which is the behaviour
 		// being modelled.
-		addr := g.stack.RemoveAt(g.stack.Len() - 1)
-		g.stack.PushFront(addr)
-		return addr
+		return g.stack.MoveToFront(g.stack.Len() - 1)
 	}
 	addr := g.base + Addr(g.nextBlock<<BlockBits)
 	g.nextBlock++

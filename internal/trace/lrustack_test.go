@@ -8,7 +8,7 @@ import (
 )
 
 // sliceStack is a trivially correct reference implementation used to verify
-// the treap-backed lruStack.
+// the Fenwick-ring lruStack.
 type sliceStack struct{ s []Addr }
 
 func (r *sliceStack) PushFront(a Addr) { r.s = append([]Addr{a}, r.s...) }
@@ -20,17 +20,36 @@ func (r *sliceStack) RemoveAt(i int) Addr {
 func (r *sliceStack) Len() int      { return len(r.s) }
 func (r *sliceStack) At(i int) Addr { return r.s[i] }
 
+// TestLRUStackAgainstReference drives the stack and a slice reference
+// through the same pushes, removals and move-to-fronts: a growth phase that
+// doubles the ring several times, then a shrinking phase. Both cross many
+// compactions.
 func TestLRUStackAgainstReference(t *testing.T) {
-	rng := stats.NewRNG(1, 2)
-	st := newLRUStack(rng.Split(0))
+	st := newLRUStack()
 	ref := &sliceStack{}
 	op := stats.NewRNG(3, 4)
-	for i := 0; i < 20000; i++ {
-		if ref.Len() == 0 || op.Bool(0.4) {
+	compactions, growths := 0, 0
+	for i := 0; i < 24000; i++ {
+		pPush := 0.65
+		if i >= 12000 {
+			pPush = 0.2
+		}
+		size, full, takesSlot := len(st.addr), st.top == len(st.addr), true
+		switch {
+		case ref.Len() == 0 || op.Bool(pPush):
 			a := Addr(op.Uint64())
 			st.PushFront(a)
 			ref.PushFront(a)
-		} else {
+		case op.Bool(0.5):
+			k := op.IntN(ref.Len())
+			got := st.MoveToFront(k)
+			want := ref.RemoveAt(k)
+			ref.PushFront(want)
+			if got != want {
+				t.Fatalf("op %d: MoveToFront(%d) = %#x, want %#x", i, k, got, want)
+			}
+		default:
+			takesSlot = false
 			k := op.IntN(ref.Len())
 			got := st.RemoveAt(k)
 			want := ref.RemoveAt(k)
@@ -38,12 +57,21 @@ func TestLRUStackAgainstReference(t *testing.T) {
 				t.Fatalf("op %d: RemoveAt(%d) = %#x, want %#x", i, k, got, want)
 			}
 		}
+		if full && takesSlot {
+			compactions++
+		}
+		if len(st.addr) != size {
+			growths++
+		}
 		if st.Len() != ref.Len() {
 			t.Fatalf("op %d: Len = %d, want %d", i, st.Len(), ref.Len())
 		}
 	}
-	// Spot-check positional reads at the end.
-	for k := 0; k < ref.Len(); k += 7 {
+	t.Logf("%d compactions, %d growths, ring %d for %d live", compactions, growths, len(st.addr), st.Len())
+	if compactions < 3 || growths < 1 {
+		t.Fatalf("crossed %d compactions and %d growths, want >= 3 and >= 1", compactions, growths)
+	}
+	for k := 0; k < ref.Len(); k++ {
 		if st.At(k) != ref.At(k) {
 			t.Fatalf("At(%d) = %#x, want %#x", k, st.At(k), ref.At(k))
 		}
@@ -51,7 +79,7 @@ func TestLRUStackAgainstReference(t *testing.T) {
 }
 
 func TestLRUStackPushOrder(t *testing.T) {
-	st := newLRUStack(stats.NewRNG(9, 9))
+	st := newLRUStack()
 	for i := 0; i < 100; i++ {
 		st.PushFront(Addr(i))
 	}
@@ -66,7 +94,7 @@ func TestLRUStackPushOrder(t *testing.T) {
 }
 
 func TestLRUStackMoveToFront(t *testing.T) {
-	st := newLRUStack(stats.NewRNG(5, 6))
+	st := newLRUStack()
 	for i := 0; i < 10; i++ {
 		st.PushFront(Addr(i))
 	}
@@ -82,7 +110,7 @@ func TestLRUStackMoveToFront(t *testing.T) {
 }
 
 func TestLRUStackRemoveAtPanicsOutOfRange(t *testing.T) {
-	st := newLRUStack(stats.NewRNG(1, 1))
+	st := newLRUStack()
 	st.PushFront(1)
 	defer func() {
 		if recover() == nil {
@@ -92,76 +120,107 @@ func TestLRUStackRemoveAtPanicsOutOfRange(t *testing.T) {
 	st.RemoveAt(1)
 }
 
-func TestLRUStackNodeRecycling(t *testing.T) {
-	// Heavy churn through a small stack must not grow memory: the free list
-	// should bound live nodes near the high-water mark.
-	st := newLRUStack(stats.NewRNG(2, 3))
-	for i := 0; i < 8; i++ {
+// TestLRUStackChurnAllocationFree re-touches random ranks of a warm stack:
+// compactions then run in place, so the steady state allocates nothing, and
+// the ring stays within 4x the high-water live count.
+func TestLRUStackChurnAllocationFree(t *testing.T) {
+	const live = 1000
+	st := newLRUStack()
+	for i := 0; i < live; i++ {
 		st.PushFront(Addr(i))
 	}
-	for i := 0; i < 100000; i++ {
-		a := st.RemoveAt(i % 8)
-		st.PushFront(a)
+	rng := stats.NewRNG(2, 3)
+	churn := func() {
+		for i := 0; i < 10*live; i++ {
+			st.MoveToFront(rng.IntN(live))
+		}
 	}
-	if st.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", st.Len())
+	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
+		t.Fatalf("warm churn allocates %.1f times per run, want 0", allocs)
 	}
-	if len(st.free) > 8 {
-		t.Fatalf("free list grew to %d", len(st.free))
+	if st.Len() != live {
+		t.Fatalf("Len = %d, want %d", st.Len(), live)
+	}
+	if c := len(st.addr); c > 4*live {
+		t.Fatalf("ring holds %d slots for %d live blocks, want <= %d", c, live, 4*live)
 	}
 }
 
-func TestLRUStackSizesConsistent(t *testing.T) {
-	// Property: after arbitrary mixed operations, every subtree size equals
-	// 1 + size(left) + size(right).
-	check := func(ops []uint16) bool {
-		st := newLRUStack(stats.NewRNG(7, 8))
-		for _, o := range ops {
-			if st.Len() == 0 || o%3 != 0 {
-				st.PushFront(Addr(o))
-			} else {
-				st.RemoveAt(int(o) % st.Len())
-			}
+// fenwickPrefix returns the tree's count of live slots in [0, i).
+func (s *lruStack) fenwickPrefix(i int) int {
+	sum := 0
+	for ; i > 0; i -= i & -i {
+		sum += int(s.tree[i])
+	}
+	return sum
+}
+
+// consistent reports whether every Fenwick prefix sum equals the popcount
+// of the occupancy bits below it, the total equals Len, and no live slot
+// sits at or above the next push slot.
+func (s *lruStack) consistent() bool {
+	pop := 0
+	for i := 0; i <= len(s.addr); i++ {
+		if s.fenwickPrefix(i) != pop {
+			return false
 		}
-		var walk func(n *treapNode) bool
-		walk = func(n *treapNode) bool {
-			if n == nil {
-				return true
-			}
-			if n.size != 1+size(n.left)+size(n.right) {
+		if i < len(s.addr) && s.occ[i>>6]&(1<<(i&63)) != 0 {
+			if i >= s.top {
 				return false
 			}
-			return walk(n.left) && walk(n.right)
+			pop++
 		}
-		return walk(st.root)
+	}
+	return pop == s.n
+}
+
+// TestLRUStackFenwickMatchesOccupancy is a property over arbitrary
+// operation sequences. Each op is a burst of up to 64 pushes, removals or
+// move-to-fronts at an op-chosen rank. A prefix of pushes forces one ring
+// growth and a suffix of move-to-fronts forces three compactions, so every
+// case crosses both. The Fenwick tree must agree with the occupancy bits
+// after every step.
+func TestLRUStackFenwickMatchesOccupancy(t *testing.T) {
+	check := func(ops []uint16) bool {
+		st := newLRUStack()
+		for i := 0; i < minRing+minRing/2; i++ {
+			st.PushFront(Addr(i))
+		}
+		if len(st.addr) == minRing || !st.consistent() {
+			return false
+		}
+		for _, o := range ops {
+			for r := 0; r <= int(o>>10); r++ {
+				rank := int(o>>2) % (st.Len() + 1)
+				switch {
+				case st.Len() == 0 || o%3 == 0:
+					st.PushFront(Addr(o))
+				case o%3 == 1:
+					st.MoveToFront(rank % st.Len())
+				default:
+					st.RemoveAt(rank % st.Len())
+				}
+				if !st.consistent() {
+					return false
+				}
+			}
+		}
+		for c := 0; c < 3; {
+			if st.top == len(st.addr) {
+				c++
+			}
+			if st.Len() == 0 {
+				st.PushFront(0)
+			} else {
+				st.MoveToFront(st.Len() - 1)
+			}
+			if !st.consistent() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLRUStackHeapProperty(t *testing.T) {
-	st := newLRUStack(stats.NewRNG(11, 12))
-	for i := 0; i < 5000; i++ {
-		st.PushFront(Addr(i))
-		if i%3 == 0 && st.Len() > 1 {
-			st.RemoveAt(st.Len() / 2)
-		}
-	}
-	var walk func(n *treapNode) bool
-	walk = func(n *treapNode) bool {
-		if n == nil {
-			return true
-		}
-		if n.left != nil && n.left.prio > n.prio {
-			return false
-		}
-		if n.right != nil && n.right.prio > n.prio {
-			return false
-		}
-		return walk(n.left) && walk(n.right)
-	}
-	if !walk(st.root) {
-		t.Fatal("treap heap property violated")
 	}
 }
