@@ -8,13 +8,14 @@
 // proofs let a client verify a fetched report end-to-end without trusting
 // the store.
 //
-// Durability follows the repository's WAL conventions: entries append as
-// JSON lines; a crash mid-append leaves an unterminated tail that replay
-// truncates (the entry was never acknowledged). Any complete line that
-// fails to parse, breaks the chain, or does not re-hash to its recorded
-// leaf is corruption — Open fails closed with ErrCorrupt so the caller can
-// quarantine the log and rebuild it from the store (the root is
-// reproducible from the stored records and report bytes).
+// Entries append as JSON lines to an internal/wal log and share its one
+// durability policy: a crash mid-append leaves an unterminated tail that
+// replay truncates (the entry was never acknowledged), and a failed append
+// is rolled back. Any complete line that fails to parse, breaks the chain,
+// or does not re-hash to its recorded leaf is corruption — Open fails
+// closed with ErrCorrupt so the caller can quarantine the log and rebuild
+// it from the store (the root is reproducible from the stored records and
+// report bytes).
 package ledger
 
 import (
@@ -24,8 +25,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
+
+	"bankaware/internal/wal"
 )
 
 // Version tags every entry's on-disk encoding.
@@ -104,8 +106,7 @@ func LeafHash(e Entry) ([32]byte, error) {
 // Ledger is the open log. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
+	log     *wal.Log
 	entries []Entry
 	tree    tree
 	// latestReport maps job ID -> index of its most recent TypeReport
@@ -114,52 +115,28 @@ type Ledger struct {
 	latestReport map[string]int
 }
 
-// Open loads (or initialises) the ledger at path. An unterminated final
-// line is a torn tail from a crash mid-append: it is dropped and the file
-// truncated to the verified prefix. Any other verification failure —
-// unparseable complete line, index gap, chain break, leaf mismatch —
-// returns ErrCorrupt with the failing index, leaving the file untouched as
-// evidence.
+// Open loads (or initialises) the ledger at path through internal/wal's
+// replay policy: a torn tail is truncated, and a complete entry that fails
+// to parse, breaks the index or chain, or does not re-hash to its leaf
+// fails the open with an error matching both ErrCorrupt and wal.ErrCorrupt,
+// leaving the file untouched as evidence.
 func Open(path string) (*Ledger, error) {
-	l := &Ledger{path: path, latestReport: make(map[string]int)}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ledger: reading %s: %w", path, err)
-	}
-	valid := 0 // byte length of the verified prefix
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			// Torn tail: the append was interrupted before its newline (and
-			// so before its sync); it was never acknowledged.
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			valid += nl + 1
-			continue
-		}
+	l := &Ledger{latestReport: make(map[string]int)}
+	log, err := wal.Open(path, func(line []byte) error {
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("%w: entry %d does not parse: %v", ErrCorrupt, len(l.entries), err)
+			return fmt.Errorf("%w: entry %d does not parse: %v", ErrCorrupt, len(l.entries), err)
 		}
 		if err := l.verifyNext(e); err != nil {
-			return nil, err
+			return err
 		}
 		l.admit(e)
-		valid += nl + 1
-	}
-	if truncated := len(data); truncated > 0 {
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("ledger: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ledger: opening %s: %w", path, err)
+		return nil, err
 	}
-	l.f = f
+	l.log = log
 	return l, nil
 }
 
@@ -199,24 +176,6 @@ func (l *Ledger) admit(e Entry) {
 	if e.Type == TypeReport {
 		l.latestReport[e.Job] = e.Index
 	}
-}
-
-// seal builds the next entry for rec and its serialised line.
-func (l *Ledger) seal(rec Record) (Entry, []byte, error) {
-	e := Entry{Version: Version, Index: len(l.entries), Record: rec}
-	if n := len(l.entries); n > 0 {
-		e.Prev = l.entries[n-1].Leaf
-	}
-	leaf, err := LeafHash(e)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	e.Leaf = hex.EncodeToString(leaf[:])
-	line, err := json.Marshal(e)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	return e, append(line, '\n'), nil
 }
 
 // Append seals rec as the next entry and persists it. sync forces an fsync
@@ -263,13 +222,8 @@ func (l *Ledger) AppendBatch(recs []Record, sync bool) ([]Entry, error) {
 		entries = append(entries, e)
 		prev = e.Leaf
 	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
-		return nil, fmt.Errorf("ledger: appending: %w", err)
-	}
-	if sync {
-		if err := l.f.Sync(); err != nil {
-			return nil, fmt.Errorf("ledger: syncing: %w", err)
-		}
+	if err := l.log.Append(buf.Bytes(), sync); err != nil {
+		return nil, fmt.Errorf("ledger: %w", err)
 	}
 	for _, e := range entries {
 		l.admit(e)
@@ -345,30 +299,9 @@ func (l *Ledger) Prove(i int) (*Proof, error) {
 	}, nil
 }
 
-// Sync forces any buffered appends to disk.
-func (l *Ledger) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// Close syncs and releases the file handle.
+// Close syncs any unsynced entries and releases the file handle.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
+	return l.log.Close()
 }
-
-// Path returns the on-disk location of the log.
-func (l *Ledger) Path() string { return l.path }

@@ -1,11 +1,11 @@
 package runner
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
+
+	"bankaware/internal/wal"
 )
 
 // Journal is a lightweight checkpoint for one fan-out: every completed
@@ -15,13 +15,14 @@ import (
 // Go's encoder round-trips float64 exactly, a resumed campaign emits
 // reports byte-identical to an uninterrupted one.
 //
-// The format is JSON lines: {"job":17,"result":{...}}. Loading tolerates a
-// truncated final line (the crash may have interrupted a write mid-record);
-// the affected job is simply recomputed. Result types must round-trip
-// through encoding/json — exported fields only.
+// The format is JSON lines, {"job":17,"result":{...}}, on an internal/wal
+// log: a truncated final line (a crash mid-record) is cut off on open and
+// the affected job is simply recomputed, while a complete line that does
+// not decode fails the open with wal.ErrCorrupt. Result types must
+// round-trip through encoding/json — exported fields only.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *wal.Log
 	done map[int]json.RawMessage
 }
 
@@ -30,29 +31,22 @@ type journalRecord struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// OpenJournal opens (or creates) the checkpoint file at path and loads the
-// completed-job records already in it.
+// OpenJournal opens the checkpoint file at path (created by the first
+// Record) and loads the completed-job records already in it.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	j := &Journal{f: f, done: make(map[int]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	for sc.Scan() {
+	j := &Journal{done: make(map[int]json.RawMessage)}
+	log, err := wal.Open(path, func(line []byte) error {
 		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			// Truncated or corrupt tail record: stop here, the job will be
-			// recomputed and re-appended.
-			break
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		j.done[rec.Job] = rec.Result
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("runner: opening journal: %w", err)
 	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		f.Close()
-		return nil, fmt.Errorf("runner: reading journal %s: %w", path, err)
-	}
+	j.log = log
 	return j, nil
 }
 
@@ -67,7 +61,7 @@ func (j *Journal) Len() int {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // Restore decodes job's recorded result into out. It returns false when the
@@ -101,11 +95,8 @@ func (j *Journal) Record(job int, result any) error {
 	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("runner: appending journal record for job %d: %w", job, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runner: syncing journal: %w", err)
+	if err := j.log.Append(line, true); err != nil {
+		return fmt.Errorf("runner: journal record for job %d: %w", job, err)
 	}
 	j.done[job] = raw
 	return nil

@@ -233,9 +233,27 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	if ok, _ := j2.Restore(1, &res); ok {
 		t.Fatal("truncated record restored")
 	}
-	// The affected job is recomputed and re-appended cleanly.
+	// The affected job is recomputed and re-appended cleanly: records
+	// written after the crash must not be glued onto the torn tail.
 	if err := j2.Record(1, trialResult{Job: 1, Value: 2}); err != nil {
 		t.Fatal(err)
+	}
+	if err := j2.Record(2, trialResult{Job: 2, Value: 3}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatalf("reopen after re-recording: %v", err)
+	}
+	defer j3.Close()
+	if j3.Len() != 3 {
+		t.Fatalf("journal holds %d records after re-recording, want 3", j3.Len())
+	}
+	for job, want := range []float64{1, 2, 3} {
+		if ok, err := j3.Restore(job, &res); !ok || err != nil || res.Job != job || res.Value != want {
+			t.Fatalf("job %d: ok=%v err=%v res=%+v, want value %v", job, ok, err, res, want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"bankaware/internal/ledger"
+	"bankaware/internal/wal"
 )
 
 // This file is the corruption fault-injection suite: every durable
@@ -360,11 +361,12 @@ func TestCorruptLedgerQuarantinedAndRebuilt(t *testing.T) {
 	}
 }
 
-// TestCorruptIntakeWALStopsReplayCleanly pins the intake WAL's failure
-// mode under a flipped byte that breaks the JSON structure: replay treats
-// it as the start of an unacked batch and stops, the store still opens,
-// and jobs materialised in per-job files are unaffected.
-func TestCorruptIntakeWALStopsReplayCleanly(t *testing.T) {
+// TestCorruptIntakeWALFailsClosed pins the intake WAL's failure mode
+// under a flipped byte that breaks the JSON structure of a complete,
+// fsynced (so acknowledged) record: the store refuses to open with
+// wal.ErrCorrupt and leaves the WAL's bytes as evidence, while a torn
+// (unterminated) tail still opens cleanly.
+func TestCorruptIntakeWALFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
@@ -381,27 +383,90 @@ func TestCorruptIntakeWALStopsReplayCleanly(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Break the second record's structure (flip its opening brace).
-	data, err := os.ReadFile(dir + "/intake.wal")
+	walPath := dir + "/" + intakeWALName
+	clean, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := bytes.Index(data, []byte("\n")) + 1
-	data[second] = 'X'
-	if err := os.WriteFile(dir+"/intake.wal", data, 0o644); err != nil {
+	// Break the second record's structure (flip its opening brace).
+	data := append([]byte{}, clean...)
+	data[bytes.IndexByte(data, '\n')+1] = 'X'
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := OpenStore(dir); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("corrupt intake WAL: got %v, want wal.ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, data) {
+		t.Fatal("failed open modified the corrupt intake WAL")
 	}
 
+	// The same record cut short before its newline is a torn tail.
+	if err := os.WriteFile(walPath, clean[:len(clean)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	re, err := OpenStore(dir)
 	if err != nil {
-		t.Fatalf("store must open past a torn WAL record: %v", err)
+		t.Fatalf("store must open past a torn WAL tail: %v", err)
 	}
 	defer re.Close()
 	if _, ok := re.Get(recs[0].ID); !ok {
-		t.Fatal("record before the torn line was lost")
+		t.Fatal("record before the torn tail was lost")
 	}
 	if _, ok := re.Get(recs[1].ID); ok {
-		t.Fatal("record after the torn line was resurrected")
+		t.Fatal("torn record was resurrected")
+	}
+}
+
+// TestCorruptShardWALFailsClosed is the same contract for a shard dir's
+// state.wal: a corrupt complete line fails the open with wal.ErrCorrupt and
+// leaves the bytes alone; a torn tail is truncated and the dir reopens with
+// every complete transition.
+func TestCorruptShardWALFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	mkplan := func() shardPlan { return planShards("job-000001", 4, 1) }
+	d, err := openShardDir(dir, mkplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if err := d.log(shardWALRecord{Shard: shard, State: ShardLeased, Worker: "w", Lease: "l", Attempts: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+	walPath := dir + "/state.wal"
+	clean, err := os.ReadFile(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte{}, clean...)
+	data[bytes.IndexByte(data, '\n')+1] = 'X'
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openShardDir(dir, mkplan); !errors.Is(err, wal.ErrCorrupt) {
+		t.Fatalf("corrupt shard WAL: got %v, want wal.ErrCorrupt", err)
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(after, data) {
+		t.Fatal("failed open modified the corrupt shard WAL")
+	}
+
+	if err := os.WriteFile(walPath, clean[:len(clean)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := openShardDir(dir, mkplan)
+	if err != nil {
+		t.Fatalf("shard dir must open past a torn WAL tail: %v", err)
+	}
+	defer re.close()
+	if st := re.state(0); st.State != ShardLeased || st.Lease != "l" {
+		t.Fatalf("shard 0 before the torn tail replayed as %+v", st)
+	}
+	if st := re.state(1); st.State != ShardPending {
+		t.Fatalf("torn transition of shard 1 replayed as %+v", st)
 	}
 }
 

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -12,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"bankaware/internal/wal"
 )
 
 // This file is the store scrubber: the proactive half of the integrity
@@ -173,7 +173,10 @@ func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
 			continue
 		}
 		dir := filepath.Join(shardsRoot, job)
-		sums := readShardSums(dir)
+		sums, err := readShardSums(dir)
+		if err != nil {
+			stats.Errors = append(stats.Errors, fmt.Sprintf("shards %s: %v", job, err))
+		}
 		parts, err := filepath.Glob(filepath.Join(dir, "partial-*.json"))
 		if err != nil {
 			continue
@@ -210,34 +213,24 @@ func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
 	}
 }
 
-// readShardSums tolerantly folds a shard dir's state.wal into the last
-// known upload hash per shard (same replay rules as shardDir.replayWAL,
-// read-only).
-func readShardSums(dir string) map[int]string {
+// readShardSums folds a shard dir's state.wal into the last known upload
+// hash per shard, read-only (wal.Replay). A corrupt WAL yields the sums of
+// the lines before the corruption, with the error.
+func readShardSums(dir string) (map[int]string, error) {
 	sums := make(map[int]string)
-	f, err := os.Open(filepath.Join(dir, "state.wal"))
-	if err != nil {
-		return sums
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+	err := wal.Replay(filepath.Join(dir, "state.wal"), func(line []byte) error {
 		var rec shardWALRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break
+			return err
 		}
 		if rec.State == ShardDone {
 			sums[rec.Shard] = rec.Sum
 		} else {
 			delete(sums, rec.Shard)
 		}
-	}
-	return sums
+		return nil
+	})
+	return sums, err
 }
 
 // Scrub runs one scrub pass over the daemon's store, skipping live jobs,

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"bankaware/internal/atomicio"
+	"bankaware/internal/wal"
 )
 
 // shardPlanVersion versions the on-disk shard plan encoding.
@@ -26,13 +26,10 @@ const (
 	ShardDone    = "done"
 )
 
-// shardWALCompactBytes triggers a shard-WAL compaction once the log grows
-// past it. Lease grants and renewals append one line each, so a
-// long-running campaign's WAL is dominated by renewals; compaction keeps
-// one line per shard (its current state). Like the intake WAL, the next
-// threshold doubles from the compacted size so steady renewal traffic
-// cannot turn O(1) appends into O(n) rewrites. A variable only so tests
-// can shrink it.
+// shardWALCompactBytes is the shard WAL's compaction floor (wal.Log.Due).
+// Lease grants and renewals append one line each, so a long-running
+// campaign's WAL is dominated by renewals; compaction keeps one line per
+// shard (its current state). A variable only so tests can shrink it.
 var shardWALCompactBytes int64 = 256 << 10
 
 // shardPlan is the durable decomposition of one campaign job into shards.
@@ -68,7 +65,7 @@ type shardWALRecord struct {
 
 // shardDir is one distributed job's durable shard state under
 // <store>/shards/<jobID>/: the plan (plan.json), the lease-transition WAL
-// (state.wal, compacted geometrically) and one partial-result file per
+// (state.wal, an internal/wal log) and one partial-result file per
 // completed shard (partial-<index>.json, written atomically — its presence
 // is the durable "done" marker). A coordinator restarted mid-campaign
 // reloads all three and continues: done shards keep their partials,
@@ -78,11 +75,9 @@ type shardDir struct {
 	plan shardPlan
 
 	// Unsynchronised: the coordinator serialises all access behind its own
-	// lock, so the shardDir only guards its file handles' lifecycle.
-	wal       *os.File
-	walBytes  int64
-	compactAt int64
-	states    map[int]shardWALRecord
+	// lock.
+	wal    *wal.Log
+	states map[int]shardWALRecord
 }
 
 // shardDirPath returns where job's shard state lives under the store root.
@@ -120,8 +115,8 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	default:
 		return nil, fmt.Errorf("service: reading shard plan: %w", err)
 	}
-	if err := d.replayWAL(); err != nil {
-		return nil, err
+	if d.wal, err = wal.Open(filepath.Join(dir, "state.wal"), d.replayState); err != nil {
+		return nil, fmt.Errorf("service: opening shard WAL: %w", err)
 	}
 	// Partial files are the durable truth for completion: a partial written
 	// after the last WAL sync still counts, and a WAL "done" without its
@@ -143,35 +138,16 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	return d, nil
 }
 
-// replayWAL folds state.wal into d.states, last record per shard winning.
-// A torn tail (crash mid-append) ends the replay; the affected transition
-// was never acknowledged to a worker whose next renew re-establishes it.
-func (d *shardDir) replayWAL() error {
-	f, err := os.Open(d.walPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("service: opening shard WAL: %w", err)
+// replayState folds one state.wal line into d.states, last record per
+// shard winning.
+func (d *shardDir) replayState(line []byte) error {
+	var rec shardWALRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec shardWALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil
-		}
-		d.states[rec.Shard] = rec
-	}
-	return sc.Err()
+	d.states[rec.Shard] = rec
+	return nil
 }
-
-func (d *shardDir) walPath() string { return filepath.Join(d.dir, "state.wal") }
 
 func (d *shardDir) partialPath(idx int) string {
 	return filepath.Join(d.dir, fmt.Sprintf("partial-%d.json", idx))
@@ -195,27 +171,13 @@ func (d *shardDir) log(rec shardWALRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: encoding shard WAL record: %w", err)
 	}
-	line = append(line, '\n')
-	if d.wal == nil {
-		f, err := os.OpenFile(d.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("service: opening shard WAL: %w", err)
-		}
-		d.wal = f
+	if err := d.wal.Append(append(line, '\n'), true); err != nil {
+		return fmt.Errorf("service: logging shard transition: %w", err)
 	}
-	if _, err := d.wal.Write(line); err != nil {
-		return fmt.Errorf("service: appending shard WAL: %w", err)
-	}
-	if err := d.wal.Sync(); err != nil {
-		return fmt.Errorf("service: syncing shard WAL: %w", err)
-	}
-	d.walBytes += int64(len(line))
 	d.states[rec.Shard] = rec
-	if d.walBytes > d.compactAt {
-		if err := d.compact(); err != nil {
-			// The transition is durable; a failed compaction only costs space.
-			return nil
-		}
+	if d.wal.Due(shardWALCompactBytes) {
+		// The transition is durable; a failed compaction only costs space.
+		_ = d.compact()
 	}
 	return nil
 }
@@ -236,17 +198,8 @@ func (d *shardDir) compact() error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	if d.wal != nil {
-		d.wal.Close()
-		d.wal = nil
-	}
-	if err := atomicio.WriteFileBytes(d.walPath(), buf.Bytes()); err != nil {
-		return fmt.Errorf("service: compacting shard WAL: %w", err)
-	}
-	d.walBytes = int64(buf.Len())
-	d.compactAt = shardWALCompactBytes
-	if min := 2 * d.walBytes; min > d.compactAt {
-		d.compactAt = min
+	if err := d.wal.Compact(buf.Bytes()); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }
@@ -320,14 +273,7 @@ func (d *shardDir) loadPartial(idx int) ([]json.RawMessage, error) {
 }
 
 // close releases the WAL handle.
-func (d *shardDir) close() error {
-	if d.wal != nil {
-		err := d.wal.Close()
-		d.wal = nil
-		return err
-	}
-	return nil
-}
+func (d *shardDir) close() error { return d.wal.Close() }
 
 // remove deletes the whole shard dir (terminal cleanup after merge or
 // cancel).

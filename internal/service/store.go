@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -18,6 +17,7 @@ import (
 	"bankaware/internal/atomicio"
 	"bankaware/internal/ledger"
 	"bankaware/internal/metrics"
+	"bankaware/internal/wal"
 )
 
 // ErrCorrupt reports a stored artifact (report, shard partial) whose bytes
@@ -87,15 +87,10 @@ func (r *JobRecord) dedupable() bool {
 // jobs, relative to the store root.
 const intakeWALName = "intake.wal"
 
-// walCompactBytes triggers an in-flight WAL compaction once the log grows
-// past it. Entries for jobs that have since been materialised as per-job
-// files are dropped; it is a variable only so tests can shrink it.
-//
-// Compaction cannot shrink the WAL below its live set (records not yet
-// materialised), so after each compaction the next trigger is deferred
-// until the log doubles from its compacted size — without that, a deep
-// backlog of queued-only jobs would rewrite the whole log on every batch
-// past the threshold, turning O(1) appends into O(n) rewrites.
+// walCompactBytes is the intake WAL's compaction floor (wal.Log.Due): an
+// in-flight compaction drops entries for jobs that have since been
+// materialised as per-job files. It is a variable only so tests can shrink
+// it.
 var walCompactBytes int64 = 4 << 20
 
 // Store is the daemon's durable result store: one JSON record per job under
@@ -126,10 +121,8 @@ type Store struct {
 	etags        map[string]string // memoized report ETags, by job ID
 	seq          int
 
-	wal          *os.File
-	walBytes     int64
-	walCompactAt int64 // next compaction threshold (see walCompactBytes)
-	syncs        int
+	wal   *wal.Log
+	syncs int
 }
 
 // orderRef is one entry of the seq-ordered job index.
@@ -139,9 +132,10 @@ type orderRef struct {
 }
 
 // OpenStore opens (or initialises) the store rooted at dir: it loads every
-// per-job record, replays the intake WAL on top (ignoring a torn tail — an
-// entry without its final newline was never acked), and compacts the WAL
-// down to the entries that still lack per-job files.
+// per-job record, replays the intake WAL on top (truncating a torn tail —
+// an entry without its final newline was never acked — and failing with
+// wal.ErrCorrupt on any complete entry that does not decode), and compacts
+// the WAL down to the entries that still lack per-job files.
 func OpenStore(dir string) (*Store, error) {
 	for _, sub := range []string{"jobs", "reports", "journals"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -177,8 +171,8 @@ func OpenStore(dir string) (*Store, error) {
 		st.jobs[rec.ID] = rec
 		st.materialized[rec.ID] = true
 	}
-	if err := st.replayWAL(); err != nil {
-		return nil, err
+	if st.wal, err = wal.Open(filepath.Join(dir, intakeWALName), st.replayIntake); err != nil {
+		return nil, fmt.Errorf("service: opening intake WAL: %w", err)
 	}
 	for id, rec := range st.jobs {
 		// The hash is canonical, not archival: recompute so records written
@@ -259,43 +253,26 @@ func (s *Store) openLedger() error {
 // scrub cross-checks).
 func (s *Store) Ledger() *ledger.Ledger { return s.led }
 
-// replayWAL folds the intake WAL into the in-memory map. A WAL entry is
-// authoritative only while its job has no per-job file: the first Put
-// (running, canceled, re-queued after drain, ...) moves the truth there.
-func (s *Store) replayWAL() error {
-	f, err := os.Open(s.walPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("service: opening intake WAL: %w", err)
+// replayIntake folds one intake WAL line into the in-memory map. A WAL
+// entry is authoritative only while its job has no per-job file: the first
+// Put (running, canceled, re-queued after drain, ...) moves the truth
+// there.
+func (s *Store) replayIntake(line []byte) error {
+	var rec JobRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), maxSpecBytes*2)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec JobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn tail from a crash mid-append: the batch was never
-			// synced, so none of its submissions were acked. Stop replaying
-			// — everything after a torn line is the same unacked batch.
-			return nil
-		}
-		if rec.ID == "" || rec.Spec.Validate() != nil {
-			return nil
-		}
-		if !s.materialized[rec.ID] {
-			s.jobs[rec.ID] = rec
-		}
+	if rec.ID == "" {
+		return errors.New("intake record without a job ID")
 	}
-	return sc.Err()
+	if err := rec.Spec.Validate(); err != nil {
+		return fmt.Errorf("intake record %s: %w", rec.ID, err)
+	}
+	if !s.materialized[rec.ID] {
+		s.jobs[rec.ID] = rec
+	}
+	return nil
 }
-
-func (s *Store) walPath() string { return filepath.Join(s.dir, intakeWALName) }
 
 // indexLocked folds one record into the dedup index. Callers hold s.mu and
 // present records in ascending seq order on rebuild. A done job always wins
@@ -372,8 +349,7 @@ func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Tim
 // synced with a single fsync — the group-commit write the batcher
 // amortises across concurrent submissions. On success the records are
 // registered in the in-memory view and the dedup index; on failure none
-// are (the WAL may hold unsynced bytes, which recovery treats as a torn,
-// unacked tail).
+// are (the WAL rolls back to its last good size).
 func (s *Store) AppendIntake(recs []JobRecord) error {
 	var buf bytes.Buffer
 	for _, rec := range recs {
@@ -386,21 +362,10 @@ func (s *Store) AppendIntake(recs []JobRecord) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		f, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("service: opening intake WAL: %w", err)
-		}
-		s.wal = f
-	}
-	if _, err := s.wal.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("service: appending intake batch: %w", err)
-	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("service: syncing intake batch: %w", err)
+	if err := s.wal.Append(buf.Bytes(), true); err != nil {
+		return fmt.Errorf("service: committing intake batch: %w", err)
 	}
 	s.syncs++
-	s.walBytes += int64(buf.Len())
 	// Ledger the queued transitions as one batch write. No fsync here: the
 	// intake WAL is the durability of the ack; these observational entries
 	// ride along on the next synced append (a crash can drop the tail,
@@ -417,11 +382,9 @@ func (s *Store) AppendIntake(recs []JobRecord) error {
 		s.orderInsertLocked(rec.Seq, rec.ID)
 		s.indexLocked(rec)
 	}
-	if s.walBytes > s.walCompactAt {
-		if err := s.compactWALLocked(); err != nil {
-			// The batch is durable; a failed compaction only costs space.
-			return nil
-		}
+	if s.wal.Due(walCompactBytes) {
+		// The batch is durable; a failed compaction only costs space.
+		_ = s.compactWALLocked()
 	}
 	return nil
 }
@@ -441,17 +404,8 @@ func (s *Store) compactWALLocked() error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	if s.wal != nil {
-		s.wal.Close()
-		s.wal = nil
-	}
-	if err := atomicio.WriteFileBytes(s.walPath(), buf.Bytes()); err != nil {
-		return fmt.Errorf("service: compacting intake WAL: %w", err)
-	}
-	s.walBytes = int64(buf.Len())
-	s.walCompactAt = walCompactBytes
-	if min := 2 * s.walBytes; min > s.walCompactAt {
-		s.walCompactAt = min
+	if err := s.wal.Compact(buf.Bytes()); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	return nil
 }
@@ -667,11 +621,7 @@ func reportETag(hash string) string { return `"sha256-` + hash + `"` }
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
-		s.wal = nil
-	}
+	err := s.wal.Close()
 	if s.led != nil {
 		if lerr := s.led.Close(); err == nil {
 			err = lerr
