@@ -241,7 +241,10 @@ type (
 var (
 	// NewSystem builds a full-system simulation of 8 workload specs.
 	NewSystem = sim.New
-	// NewSystemWithStreams builds a simulation over custom streams.
+	// NewSystemWithStreams builds a simulation over custom streams. Each
+	// stream is advanced by a single goroutine, which may not be the
+	// caller's, and distinct streams must not share mutable state (see
+	// sim.NewWithStreams).
 	NewSystemWithStreams = sim.NewWithStreams
 	// DefaultSimConfig is the paper's Table I machine.
 	DefaultSimConfig = sim.DefaultConfig

@@ -418,12 +418,10 @@ func BenchmarkDirectoryAccess(b *testing.B) { benchmarks.DirectoryAccess(b) }
 // second.
 func BenchmarkSystemStep(b *testing.B) { benchmarks.SystemStep(b) }
 
-// BenchmarkSystemStepParallel2/4/8 run the same loop under the pipelined
+// BenchmarkSystemStepPipelined runs the same loop under the pipelined
 // intra-simulation executor; results are byte-identical, only throughput
-// (and a small per-Run pipeline allocation budget) differs.
-func BenchmarkSystemStepParallel2(b *testing.B) { benchmarks.SystemStepParallel2(b) }
-func BenchmarkSystemStepParallel4(b *testing.B) { benchmarks.SystemStepParallel4(b) }
-func BenchmarkSystemStepParallel8(b *testing.B) { benchmarks.SystemStepParallel8(b) }
+// (and a small per-Run goroutine allocation) differs.
+func BenchmarkSystemStepPipelined(b *testing.B) { benchmarks.SystemStepPipelined(b) }
 
 // BenchmarkMSHRFill measures the MSHR allocate/merge/complete/release cycle.
 func BenchmarkMSHRFill(b *testing.B) { benchmarks.MSHRFill(b) }

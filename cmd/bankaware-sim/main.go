@@ -50,7 +50,6 @@ func main() {
 		csvPath   = flag.String("csv", "", "with -fig8: also write per-set rows to this CSV file")
 		markdown  = flag.Bool("markdown", false, "with -fig8: also print a Markdown table")
 		parallel  = flag.Int("parallel", 0, "worker bound (0 = all cores); results do not depend on it")
-		simWork   = flag.Int("sim-workers", 0, "execution lanes inside each simulation (0/1 = sequential); results do not depend on it")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
 		progress  = flag.Bool("progress", false, "render a live progress line on stderr")
 		report    = flag.String("report", "", "write the machine-readable JSON run report to this file")
@@ -70,7 +69,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opt := experiments.Options{Workers: *parallel, Observe: *report != "", SimWorkers: *simWork, Fidelity: fidelity}
+	opt := experiments.Options{Workers: *parallel, Observe: *report != "", Fidelity: fidelity}
 	var plan *faults.Plan
 	if *faultPath != "" {
 		p, err := faults.Load(*faultPath)

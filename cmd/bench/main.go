@@ -76,9 +76,7 @@ var suite = []struct {
 	{"MSHRFill", benchmarks.MSHRFill},
 	{"GeneratorNext", benchmarks.GeneratorNext},
 	{"SystemStep", benchmarks.SystemStep},
-	{"SystemStepParallel2", benchmarks.SystemStepParallel2},
-	{"SystemStepParallel4", benchmarks.SystemStepParallel4},
-	{"SystemStepParallel8", benchmarks.SystemStepParallel8},
+	{"SystemStepPipelined", benchmarks.SystemStepPipelined},
 	{"FastSet1Run", benchmarks.FastSet1Run},
 	{"ServiceSubmitThroughput", benchmarks.ServiceSubmitThroughput},
 	{"ServiceCachedSubmit", benchmarks.ServiceCachedSubmit},
@@ -119,10 +117,11 @@ func main() {
 		*count = 1
 	}
 
-	// MaxLanes is the effective lane capacity of the deepest parallel
-	// bench in the suite: SystemStepParallel8 asks for 8 lanes, but a
-	// smaller GOMAXPROCS means they time-share and its numbers measure
-	// scheduling, not speedup.
+	// MaxLanes is how many threads the parallel benches can run at once,
+	// capped at 8 so it stays comparable with earlier baselines:
+	// SystemStepPipelined runs a commit thread plus a prefetch and an apply
+	// goroutine per simulated core, and a smaller GOMAXPROCS means they
+	// time-share, so its numbers measure scheduling, not speedup.
 	maxLanes := runtime.GOMAXPROCS(0)
 	if maxLanes > 8 {
 		maxLanes = 8

@@ -33,7 +33,6 @@ func main() {
 		ablation    = flag.String("ablation", "", "run an ablation: profiler|epoch|cap|plru|strict")
 		accesses    = flag.Int("accesses", 200_000, "accesses for aggregation/profiler studies")
 		parallel    = flag.Int("parallel", 0, "worker bound (0 = all cores); results do not depend on it")
-		simWork     = flag.Int("sim-workers", 0, "execution lanes inside each simulation (0/1 = sequential); results do not depend on it")
 		timeout     = flag.Duration("timeout", 0, "abort the sweep after this duration (0 = none)")
 		progress    = flag.Bool("progress", false, "render a live progress line on stderr")
 		report      = flag.String("report", "", "write the machine-readable JSON sweep report to this file")
@@ -56,7 +55,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := experiments.Options{Workers: *parallel, SimWorkers: *simWork, Fidelity: fidelity}
+	opt := experiments.Options{Workers: *parallel, Fidelity: fidelity}
 	if *faultPath != "" {
 		plan, err := faults.Load(*faultPath)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"bankaware"
@@ -128,11 +129,11 @@ func TestGoldenRunReportWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestGoldenRunReportSimWorkerInvariant: the exact bytes of the report must
-// not depend on the intra-simulation lane count either — the pipelined
-// executor (WithSimWorkers >= 2) must reproduce the sequential loop's
-// report bit for bit, pinned against the committed golden file.
-func TestGoldenRunReportSimWorkerInvariant(t *testing.T) {
+// TestGoldenRunReportPipelineInvariant: the exact bytes of the report must
+// not depend on the executor inside each simulation either. A detailed
+// simulation runs the sequential loop at GOMAXPROCS=1 and pipelines above
+// it; both must reproduce the committed golden file bit for bit.
+func TestGoldenRunReportPipelineInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full set evaluation in -short mode")
 	}
@@ -140,10 +141,11 @@ func TestGoldenRunReportSimWorkerInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update): %v", err)
 	}
-	for _, lanes := range []int{1, 2, 8} {
-		got := goldenReport(t, 1, bankaware.WithSimWorkers(lanes))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("simWorkers=%d: report bytes differ from the golden file", lanes)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		if got := goldenReport(t, 1); !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: report bytes differ from the golden file", procs)
 		}
 	}
 }

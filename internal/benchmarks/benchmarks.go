@@ -106,19 +106,17 @@ func DirectoryAccess(b *testing.B) {
 // (sim.System.step and everything below it) in fixed 100k-instruction
 // chunks on the Table III set-1 mix, and reports simulated cycles and
 // instructions per wall-clock second — the throughput numbers EXPERIMENTS.md
-// tracks.
-func SystemStep(b *testing.B) { systemStep(b, 0) }
+// tracks. It forces the sequential loop (sim.System.SetSimWorkers(1)).
+func SystemStep(b *testing.B) { systemStep(b, 1) }
 
-// SystemStepParallel2/4/8 run the same end-to-end loop under the pipelined
-// executor (sim.System.SetSimWorkers) with 2, 4 and 8 lanes. Results are
-// byte-identical to SystemStep by construction; only the throughput — and,
-// unlike the sequential loop, a small per-Run allocation budget for the
-// pipeline's channels and batch buffers — differs. Speedups require real
-// CPUs: on a single-core host the lanes time-slice and these report the
-// pipeline's overhead instead.
-func SystemStepParallel2(b *testing.B) { systemStep(b, 2) }
-func SystemStepParallel4(b *testing.B) { systemStep(b, 4) }
-func SystemStepParallel8(b *testing.B) { systemStep(b, 8) }
+// SystemStepPipelined runs the same end-to-end loop under the pipelined
+// executor: a prefetch and an apply goroutine per simulated core around
+// the commit thread. Results are byte-identical to SystemStep by
+// construction; only the throughput — and a small per-Run allocation for
+// the goroutines, the buffer pool being built once — differs. Speedups
+// require real CPUs: at GOMAXPROCS=1 the goroutines time-slice and this
+// reports the pipeline's overhead instead.
+func SystemStepPipelined(b *testing.B) { systemStep(b, 2) }
 
 // set1Specs returns the workload specs of Table III set 1, the golden mix.
 func set1Specs() []trace.Spec {

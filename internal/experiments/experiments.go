@@ -26,7 +26,10 @@ import (
 // every simulation is deterministic in (config, policy, specs), so results
 // are identical for any worker count.
 type Options struct {
-	// Workers bounds the fan-out; zero selects GOMAXPROCS.
+	// Workers bounds the fan-out across simulations; zero selects
+	// GOMAXPROCS. Within one simulation the detailed engine picks its own
+	// executor: it pipelines trace generation and profiler bookkeeping
+	// whenever GOMAXPROCS > 1 (see sim.System.SetSimWorkers).
 	Workers int
 	// Progress receives engine events for live progress reporting.
 	Progress runner.ProgressFunc
@@ -54,13 +57,6 @@ type Options struct {
 	Retries      int
 	RetryBackoff time.Duration
 	JobTimeout   time.Duration
-	// SimWorkers bounds the execution lanes *inside* each simulation (see
-	// sim.System.SetSimWorkers); 0 or 1 runs the classic sequential loop.
-	// Like Workers it is an execution knob: results are byte-identical for
-	// every value. Workers parallelises across simulations, SimWorkers
-	// within one — the two compose, so keep Workers*SimWorkers near the
-	// machine's core count.
-	SimWorkers int
 	// Fidelity selects the execution engine: FidelityDetailed (and the
 	// zero value) runs the cycle-accurate simulator, FidelityFast the
 	// interval-model fast path. Unlike the knobs above this *does* affect
@@ -208,8 +204,8 @@ type PolicyRun struct {
 // also attaches the metrics layer and exports the run report covering the
 // measurement window; sample, when non-nil, taps the measured phase's epoch
 // samples live.
-func runPolicy(ctx context.Context, cfg sim.Config, specs []trace.Spec, proto core.Policy, workloads []string, instructions uint64, fidelity Fidelity, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
-	sys, err := newEngine(fidelity, cfg, core.ClonePolicy(proto), specs, simWorkers)
+func runPolicy(ctx context.Context, cfg sim.Config, specs []trace.Spec, proto core.Policy, workloads []string, instructions uint64, fidelity Fidelity, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
+	sys, err := newEngine(fidelity, cfg, core.ClonePolicy(proto), specs)
 	if err != nil {
 		return PolicyRun{}, err
 	}
@@ -274,7 +270,7 @@ func RunSetPolicyContext(ctx context.Context, cfg sim.Config, workloads []string
 	}
 	protos := setPolicyPrototypes()
 	observe := opt.Observe || opt.Sample != nil
-	return runPolicy(ctx, cfg, specs, protos[policy], workloads, instructions, opt.Fidelity, opt.SimWorkers, observe,
+	return runPolicy(ctx, cfg, specs, protos[policy], workloads, instructions, opt.Fidelity, observe,
 		opt.sampler(protos[policy].Name()))
 }
 
@@ -362,7 +358,7 @@ func RunCampaignUnitContext(ctx context.Context, scale Scale, instructions uint6
 	if err != nil {
 		return PolicyRun{}, err
 	}
-	r, err := runPolicy(ctx, cfg, specs, protos[pol], TableIIISets[set][:], instructions, opt.Fidelity, opt.SimWorkers, observe,
+	r, err := runPolicy(ctx, cfg, specs, protos[pol], TableIIISets[set][:], instructions, opt.Fidelity, observe,
 		opt.sampler(fmt.Sprintf("set%d/%s", set+1, protos[pol].Name())))
 	if err != nil {
 		return PolicyRun{}, fmt.Errorf("set %d (%s): %w", set+1, protos[pol].Name(), err)

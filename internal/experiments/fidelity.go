@@ -62,20 +62,13 @@ type engine interface {
 	RunReport(name string, workloads []string) metrics.RunReport
 }
 
-// newEngine constructs the engine for one run at the given fidelity.
-// simWorkers bounds the detailed engine's execution lanes (see
-// sim.System.SetSimWorkers); the fast engine has no intra-run event loop
-// to spread over them.
-func newEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec, simWorkers int) (engine, error) {
+// newEngine constructs the engine for one run at the given fidelity. A
+// detailed engine picks its own executor (see sim.System.SetSimWorkers).
+func newEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec) (engine, error) {
 	if f == FidelityFast {
 		return fastsim.New(cfg, policy, specs)
 	}
-	sys, err := sim.New(cfg, policy, specs)
-	if err != nil {
-		return nil, err
-	}
-	sys.SetSimWorkers(simWorkers)
-	return sys, nil
+	return sim.New(cfg, policy, specs)
 }
 
 // fidelityTag is the result/report stamp for a fidelity: detailed runs

@@ -14,19 +14,18 @@ import (
 )
 
 // fastSetReport runs Table III set 1 under the fast path with the given
-// execution knobs and returns the canonical report bytes.
-func fastSetReport(tb testing.TB, workers, simWorkers int) []byte {
+// worker count and returns the canonical report bytes.
+func fastSetReport(tb testing.TB, workers int) []byte {
 	tb.Helper()
 	res, err := experiments.RunSetContext(context.Background(), accuracyConfig(), 1,
 		experiments.TableIIISets[0], benchmarks.FidelityInstructions, experiments.Options{
-			Seed:       1,
-			Observe:    true,
-			Workers:    workers,
-			SimWorkers: simWorkers,
-			Fidelity:   experiments.FidelityFast,
+			Seed:     1,
+			Observe:  true,
+			Workers:  workers,
+			Fidelity: experiments.FidelityFast,
 		})
 	if err != nil {
-		tb.Fatalf("fast set run (workers=%d simWorkers=%d): %v", workers, simWorkers, err)
+		tb.Fatalf("fast set run (workers=%d): %v", workers, err)
 	}
 	var buf bytes.Buffer
 	if err := res.Report().WriteJSON(&buf); err != nil {
@@ -36,22 +35,16 @@ func fastSetReport(tb testing.TB, workers, simWorkers int) []byte {
 }
 
 // TestFastPathByteStableAcrossWorkers runs the same fast campaign under
-// different campaign- and simulation-level worker counts and across
-// repeats; every report must be byte-identical.
+// different worker counts and across repeats; every report must be
+// byte-identical.
 func TestFastPathByteStableAcrossWorkers(t *testing.T) {
-	base := fastSetReport(t, 1, 1)
+	base := fastSetReport(t, 1)
 	if len(base) == 0 {
 		t.Fatal("empty report")
 	}
-	for _, k := range []struct{ workers, simWorkers int }{
-		{1, 1}, // repeat of the baseline
-		{3, 1},
-		{1, 4},
-		{3, 4},
-	} {
-		got := fastSetReport(t, k.workers, k.simWorkers)
-		if !bytes.Equal(base, got) {
-			t.Errorf("report bytes diverge at workers=%d simWorkers=%d", k.workers, k.simWorkers)
+	for _, workers := range []int{1, 3} { // 1 repeats the baseline
+		if got := fastSetReport(t, workers); !bytes.Equal(base, got) {
+			t.Errorf("report bytes diverge at workers=%d", workers)
 		}
 	}
 }

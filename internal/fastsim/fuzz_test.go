@@ -44,8 +44,7 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Byte-stability: same spec, different execution knobs.
-		opt.SimWorkers = 4
+		// Byte-stability: the same spec run again.
 		again, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -59,11 +58,10 @@ func FuzzFastPathAccuracy(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("fast report bytes diverge across worker counts (workloads %v policy %d seed %d)", workloads, pol, seed)
+			t.Fatalf("fast report bytes diverge across repeats (workloads %v policy %d seed %d)", workloads, pol, seed)
 		}
 
 		opt.Fidelity = experiments.FidelityDetailed
-		opt.SimWorkers = 0
 		det, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)

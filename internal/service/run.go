@@ -96,13 +96,12 @@ func (s *Service) runJob(ctx context.Context, jb *job) (*metrics.Report, error) 
 
 func (s *Service) experimentOptions(jb *job) experiments.Options {
 	return experiments.Options{
-		Workers:    s.workersFor(jb.spec),
-		Progress:   s.progressFor(jb),
-		Sample:     s.sampleFor(jb),
-		Seed:       jb.spec.Seed,
-		Observe:    jb.spec.Observe,
-		SimWorkers: jb.spec.SimWorkers,
-		Fidelity:   fidelityFor(jb.spec),
+		Workers:  s.workersFor(jb.spec),
+		Progress: s.progressFor(jb),
+		Sample:   s.sampleFor(jb),
+		Seed:     jb.spec.Seed,
+		Observe:  jb.spec.Observe,
+		Fidelity: fidelityFor(jb.spec),
 	}
 }
 

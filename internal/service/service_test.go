@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -97,10 +98,11 @@ func TestSubmitRunsToByteIdenticalReport(t *testing.T) {
 }
 
 // TestSimWorkersIsExecutionKnob pins the two halves of the simWorkers
-// contract: the knob never reaches the content hash (two submissions
-// differing only there are the same cache entry), and a job served with the
-// pipelined executor writes byte-for-byte the report a direct sequential
-// library run produces.
+// contract: the field, accepted and ignored, never reaches the content hash
+// (two submissions differing only there are the same cache entry), and a
+// job served at the host's default executor — pipelined on a multi-CPU
+// host — writes byte-for-byte the report a direct sequential library run
+// (GOMAXPROCS=1) produces.
 func TestSimWorkersIsExecutionKnob(t *testing.T) {
 	base := JobSpec{
 		Kind: KindSet, Observe: true,
@@ -132,8 +134,10 @@ func TestSimWorkersIsExecutionKnob(t *testing.T) {
 
 	cfg := experiments.ScaleModel.Config()
 	cfg.EpochCycles = 100_000
+	procs := runtime.GOMAXPROCS(1)
 	res, err := experiments.RunSetContext(context.Background(), cfg, 1,
 		experiments.TableIIISets[0][:], 120_000, experiments.Options{Workers: 1, Observe: true})
+	runtime.GOMAXPROCS(procs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestSimWorkersIsExecutionKnob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("parallel-executor service report differs from direct sequential run:\nservice: %.200s\ndirect:  %.200s", got, want.Bytes())
+		t.Fatalf("served report differs from direct sequential run:\nservice: %.200s\ndirect:  %.200s", got, want.Bytes())
 	}
 }
 

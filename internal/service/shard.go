@@ -93,7 +93,7 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		if sub.Set != 0 {
 			workloads = experiments.TableIIISets[sub.Set-1][:]
 		}
-		eopt := experiments.Options{Observe: spec.Observe, SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec)}
+		eopt := experiments.Options{Observe: spec.Observe, Fidelity: fidelityFor(spec)}
 		runs, err := runner.Map(ctx, runner.Config{
 			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
 		}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {
@@ -105,7 +105,7 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		return encodeUnits(runs)
 	default: // KindExperiments
 		sub := spec.Experiments
-		eopt := experiments.Options{Observe: spec.Observe, SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec)}
+		eopt := experiments.Options{Observe: spec.Observe, Fidelity: fidelityFor(spec)}
 		runs, err := runner.Map(ctx, runner.Config{
 			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
 		}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {

@@ -45,10 +45,9 @@ type JobSpec struct {
 	// Workers bounds the job's internal fan-out; zero selects the server's
 	// default. Results never depend on it.
 	Workers int `json:"workers,omitempty"`
-	// SimWorkers bounds the execution lanes inside each detailed simulation
-	// (see sim.System.SetSimWorkers); zero or one runs the classic
-	// sequential loop. Results never depend on it. Monte Carlo jobs ignore
-	// it.
+	// SimWorkers is accepted and ignored: each detailed simulation picks
+	// its own executor. It stays decodable (and validated as >= 0) because
+	// older clients send it, and it never enters the spec hash.
 	SimWorkers int `json:"simWorkers,omitempty"`
 	// TimeoutMS deadlines the whole job; a job exceeding it fails. Zero
 	// means no per-job deadline.

@@ -121,7 +121,7 @@ func TestInvariantDirectoryCoversL1Contents(t *testing.T) {
 	// the directory.
 	checked := 0
 	for c := 0; c < nuca.NumCores; c++ {
-		ev := sys.streams[c].Next()
+		ev := sys.nextEvent(c)
 		a := ev.Access.Addr
 		if sys.l1s[c].Probe(a) {
 			if sys.dir.StateOf(a, c) == 0 { // coherence.Invalid
@@ -167,7 +167,7 @@ func TestInvariantHashedPlacementSingleLocation(t *testing.T) {
 	probes := 0
 	for c := 0; c < nuca.NumCores; c++ {
 		for k := 0; k < 50; k++ {
-			a := sys.streams[c].Next().Access.Addr
+			a := sys.nextEvent(c).Access.Addr
 			resident := 0
 			for _, b := range sys.banks {
 				if b.Probe(a) {

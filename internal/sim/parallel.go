@@ -10,364 +10,281 @@
 // observable event order. What *is* order-free is everything per-core on
 // either side of the shared state:
 //
-//   - Trace generation (trace.Generator.Next) has zero feedback from the
+//   - Trace generation (trace.Stream.Next) has zero feedback from the
 //     simulation — a core's access sequence is a pure function of the spec
-//     and seed — so it can run arbitrarily far ahead on another thread.
+//     and seed — so it can run ahead on another thread.
 //   - MSA profiler application (msa.Profiler.Access) is per-core state
 //     that nothing reads between repartition boundaries, so it can lag
-//     arbitrarily far behind on another thread.
+//     behind on another thread.
 //
-// The pipeline below exploits exactly those two ends: prefetcher goroutines
-// generate each core's trace in batches ahead of time, applier goroutines
-// replay each core's profiler accesses behind time, and the commit thread
-// in between executes the unchanged sequential schedule over all shared
-// state. Every value the commit thread consumes is identical to what the
-// sequential loop would have computed, and every profiler read happens
-// behind a flush barrier, so reports are byte-identical for any worker
-// count — the same contract the campaign-level engine gives, one level
-// down. See DESIGN.md, "Performance model".
+// The pipeline below exploits exactly those two ends: each core has one
+// prefetch goroutine generating its trace in batches ahead of time and one
+// apply goroutine replaying its profiler accesses behind time, while the
+// commit thread in between executes the unchanged sequential schedule over
+// all shared state. Every value the commit thread consumes is identical to
+// what the sequential loop would have computed, and every profiler read
+// happens behind a flush barrier, so results and reports are byte-identical
+// to the sequential loop. See DESIGN.md, "Performance model".
 package sim
 
 import (
+	"runtime"
 	"sync"
 
+	"bankaware/internal/msa"
 	"bankaware/internal/nuca"
 	"bankaware/internal/trace"
 )
 
-// SetSimWorkers bounds the number of concurrent execution lanes one
-// simulation may use: 0 or 1 (the default) runs the classic single-threaded
-// loop; n >= 2 enables the pipelined executor with n-1 offload lanes
-// feeding the commit thread. The setting takes effect at the next Run and
-// never changes simulated outcomes — results and run reports are
-// byte-identical for every value (there is a differential oracle and a
-// golden-report pin covering this).
-func (s *System) SetSimWorkers(n int) {
-	if n < 0 {
-		n = 0
+// SetSimWorkers picks the executor of the next Run. 0 (the default)
+// pipelines whenever runtime.GOMAXPROCS(0) > 1 at Run start and runs the
+// sequential loop otherwise; 1 forces the sequential loop, the reference
+// the tests compare against; any n >= 2 forces the pipeline, whose shape
+// does not depend on n. Results and run reports are byte-identical for
+// every value.
+func (s *System) SetSimWorkers(n int) { s.simWorkers = n }
+
+// pipelined reports whether the next Run uses the pipeline.
+func (s *System) pipelined() bool {
+	switch {
+	case s.simWorkers == 1:
+		return false
+	case s.simWorkers >= 2:
+		return true
 	}
-	s.simWorkers = n
+	return runtime.GOMAXPROCS(0) > 1
 }
 
-// SimWorkers returns the configured lane bound (0 means sequential).
-func (s *System) SimWorkers() int { return s.simWorkers }
-
-// Batch sizes trade synchronisation amortisation against lead/lag memory:
-// one channel operation per ~256 events keeps the per-access overhead to a
-// fraction of a nanosecond while a full pipeline holds only a few thousand
-// in-flight events per core.
+// One channel operation per batchLen events keeps the per-access overhead
+// to a fraction of a nanosecond; poolDepth batches per core let the
+// prefetcher fill one while the commit thread consumes another and a third
+// waits. The whole pool — poolDepth trace batches and poolDepth profiler
+// buffers per core, about 192 KiB — is allocated once per System.
 const (
-	traceBatchLen = 256
-	profBatchLen  = 256
-	// traceLead is how many batches a prefetcher keeps queued per core.
-	traceLead = 2
-	// profLag is how many unapplied batches may queue per core.
-	profLag = 4
+	batchLen  = 256
+	poolDepth = 3
 )
 
-// traceBatch is one prefetched span of a core's access stream.
-type traceBatch struct {
-	core int
-	ev   []trace.Event
-}
-
-// profBatch is one span of a core's profiler accesses awaiting application,
-// or — when ack is non-nil — a flush token: the applier acknowledges it
-// after everything queued before it has been applied.
-type profBatch struct {
-	core  int
-	addrs []trace.Addr
-	ack   chan<- struct{}
-}
-
-// pipeline is the run-scoped parallel executor. Lanes are goroutine groups:
-// group g owns cores {c : c mod groups == g} for both trace prefetch and
-// profiler application. Prefetchers only send and appliers only receive, so
-// the topology is acyclic and cannot deadlock. All fields outside the
-// channels are owned by the commit thread.
+// pipeline is the System's parallel executor. Per core, a fixed pool of
+// trace batches circulates prefetcher → full → commit thread → free →
+// prefetcher, and a fixed pool of profiler buffers circulates commit
+// thread → apply → applier → spare → commit thread. Every channel holds
+// the whole pool, so no send ever blocks. The pool outlives each Run:
+// batches still queued in full when a Run ends are consumed first by the
+// next one, pipelined or sequential. All fields outside the channels are
+// owned by the commit thread.
 type pipeline struct {
-	groups int
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	full, free   [nuca.NumCores]chan []trace.Event
+	apply, spare [nuca.NumCores]chan []trace.Addr
 
-	// Prefetch side: per-group batch channel (prefetcher -> commit) and
-	// free-list (commit -> prefetcher, non-blocking recycle).
-	traceCh   []chan traceBatch
-	traceFree []chan []trace.Event
+	// The batch each core is consuming and its read position, and the
+	// profiler buffer being filled (nil when the core holds none).
+	cur [nuca.NumCores][]trace.Event
+	pos [nuca.NumCores]int
+	pb  [nuca.NumCores][]trace.Addr
 
-	// Apply side: per-group batch channel (commit -> applier) and free-list
-	// (applier -> commit).
-	profCh   []chan profBatch
-	profFree []chan []trace.Addr
-	acks     chan struct{}
+	// A prefetcher or applier that panics records the value here and
+	// sends a nil buffer on the channel the commit thread reads from it
+	// next, which re-raises the panic on the Run's own goroutine, as the
+	// sequential loop would.
+	genPanic, profPanic [nuca.NumCores]any
+	broken              bool
 
-	// Commit-side demux state: the batch each core is consuming, batches
-	// received while demultiplexing another core's, and the profiler batch
-	// being filled.
-	cur     [nuca.NumCores][]trace.Event
-	pos     [nuca.NumCores]int
-	backlog [nuca.NumCores][][]trace.Event
-	pb      [nuca.NumCores][]trace.Addr
+	running bool
+	stop    chan struct{}
+	wg      sync.WaitGroup
 }
 
-func (p *pipeline) groupOf(c int) int { return c % p.groups }
-
-// coresOf lists the cores group g owns, in core order.
-func (p *pipeline) coresOf(g int) []int {
-	var cs []int
-	for c := g; c < nuca.NumCores; c += p.groups {
-		cs = append(cs, c)
+func newPipeline() *pipeline {
+	p := &pipeline{}
+	events := make([]trace.Event, nuca.NumCores*poolDepth*batchLen)
+	addrs := make([]trace.Addr, nuca.NumCores*poolDepth*batchLen)
+	for c := range p.full {
+		p.full[c] = make(chan []trace.Event, poolDepth)
+		p.free[c] = make(chan []trace.Event, poolDepth)
+		p.apply[c] = make(chan []trace.Addr, poolDepth)
+		p.spare[c] = make(chan []trace.Addr, poolDepth)
+		for i := 0; i < poolDepth; i++ {
+			lo := (c*poolDepth + i) * batchLen
+			p.free[c] <- events[lo : lo : lo+batchLen]
+			p.spare[c] <- addrs[lo : lo : lo+batchLen]
+		}
 	}
-	return cs
+	return p
 }
 
-// startPipeline builds and launches the executor for one Run. Any trace
-// events spilled by a previous Run's shutdown are handed back first, so the
-// generators' already-advanced state is never skipped.
+// startPipeline launches one prefetcher and one applier per core, building
+// the pool on the first pipelined Run.
 func (s *System) startPipeline() {
-	groups := s.simWorkers - 1
-	if groups > nuca.NumCores {
-		groups = nuca.NumCores
+	if s.pipe == nil {
+		s.pipe = newPipeline()
 	}
-	p := &pipeline{
-		groups:    groups,
-		stop:      make(chan struct{}),
-		traceCh:   make([]chan traceBatch, groups),
-		traceFree: make([]chan []trace.Event, groups),
-		profCh:    make([]chan profBatch, groups),
-		profFree:  make([]chan []trace.Addr, groups),
-		acks:      make(chan struct{}, groups),
+	p := s.pipe
+	p.running = true
+	p.stop = make(chan struct{})
+	p.wg.Add(2 * nuca.NumCores)
+	for c := 0; c < nuca.NumCores; c++ {
+		go p.prefetch(s.streams[c], c)
+		go p.applyProf(s.profs[c], c)
 	}
-	for c := range s.spill {
-		if sp := s.spill[c]; len(sp) > s.spillPos[c] {
-			p.cur[c] = sp[s.spillPos[c]:]
-		}
-		s.spill[c] = nil
-		s.spillPos[c] = 0
-	}
-	for g := 0; g < groups; g++ {
-		n := len(p.coresOf(g))
-		p.traceCh[g] = make(chan traceBatch, traceLead*n)
-		p.traceFree[g] = make(chan []trace.Event, traceLead*n+1)
-		p.profCh[g] = make(chan profBatch, profLag*n)
-		p.profFree[g] = make(chan []trace.Addr, profLag*n+1)
-		p.wg.Add(2)
-		go p.prefetch(s, g)
-		go p.apply(s, g)
-	}
-	s.par = p
 }
 
-// prefetch generates trace batches for group g's cores round-robin until
-// stopped. On stop the in-flight batch is still delivered — its events were
-// already drawn from the generator — and the channel is closed so the
-// commit thread's drain terminates.
-func (p *pipeline) prefetch(s *System, g int) {
+// stopPipeline settles every queued profiler access and stops the
+// goroutines, also when the Run is panicking. Filled trace batches stay
+// queued for the next Run.
+func (s *System) stopPipeline() {
+	p := s.pipe
+	defer func() {
+		close(p.stop)
+		p.wg.Wait()
+		p.running = false
+	}()
+	if !p.broken {
+		p.profBarrier()
+	}
+}
+
+// rescue, deferred by a prefetcher or applier, records its panic in slot
+// and sends the commit thread a nil buffer on wake. wake has room for it:
+// the panicking goroutine holds one of the pool's buffers.
+func rescue[T any](slot *any, wake chan<- []T) {
+	if r := recover(); r != nil {
+		*slot = r
+		wake <- nil
+	}
+}
+
+// rethrow re-raises a panic a prefetcher or applier recorded. The pool has
+// lost a buffer, so the barrier is skipped from then on.
+func (p *pipeline) rethrow(r any) {
+	p.broken = true
+	panic(r)
+}
+
+// prefetch fills core c's free batches from its stream until stopped.
+func (p *pipeline) prefetch(stream trace.Stream, c int) {
 	defer p.wg.Done()
-	defer close(p.traceCh[g])
-	cores := p.coresOf(g)
+	defer rescue(&p.genPanic[c], p.full[c])
 	for {
-		for _, c := range cores {
-			var batch []trace.Event
-			select {
-			case b := <-p.traceFree[g]:
-				batch = b[:0]
-			default:
-				batch = make([]trace.Event, 0, traceBatchLen)
-			}
-			stream := s.streams[c]
-			for len(batch) < traceBatchLen {
-				batch = append(batch, stream.Next())
-			}
-			select {
-			case p.traceCh[g] <- traceBatch{core: c, ev: batch}:
-			case <-p.stop:
-				// The stop drain on the commit side keeps receiving until
-				// the close below, so this send always completes.
-				p.traceCh[g] <- traceBatch{core: c, ev: batch}
-				return
-			}
-		}
-	}
-}
-
-// apply replays profiler accesses for group g's cores and acknowledges
-// flush tokens. It exits when the commit thread closes the channel.
-func (p *pipeline) apply(s *System, g int) {
-	defer p.wg.Done()
-	for pb := range p.profCh[g] {
-		if pb.ack != nil {
-			pb.ack <- struct{}{}
-			continue
-		}
-		prof := s.profs[pb.core]
-		for _, a := range pb.addrs {
-			prof.Access(a)
-		}
+		var b []trace.Event
 		select {
-		case p.profFree[g] <- pb.addrs[:0]:
-		default:
-		}
-	}
-}
-
-// next returns core c's next trace event, demultiplexing group batches into
-// per-core order as they arrive.
-func (p *pipeline) next(c int) trace.Event {
-	if p.pos[c] >= len(p.cur[c]) {
-		p.refill(c)
-	}
-	ev := p.cur[c][p.pos[c]]
-	p.pos[c]++
-	return ev
-}
-
-// refill installs core c's next batch, recycling the spent one and stashing
-// other cores' batches met on the way.
-func (p *pipeline) refill(c int) {
-	g := p.groupOf(c)
-	if buf := p.cur[c]; buf != nil {
-		select {
-		case p.traceFree[g] <- buf[:0]:
-		default:
-		}
-		p.cur[c] = nil
-	}
-	if len(p.backlog[c]) > 0 {
-		p.cur[c] = p.backlog[c][0]
-		copy(p.backlog[c], p.backlog[c][1:])
-		p.backlog[c] = p.backlog[c][:len(p.backlog[c])-1]
-		p.pos[c] = 0
-		return
-	}
-	for {
-		tb, ok := <-p.traceCh[g]
-		if !ok {
-			panic("sim: trace channel closed while pipeline running")
-		}
-		if tb.core == c {
-			p.cur[c] = tb.ev
-			p.pos[c] = 0
+		case b = <-p.free[c]:
+		case <-p.stop:
 			return
 		}
-		p.backlog[tb.core] = append(p.backlog[tb.core], tb.ev)
+		b = b[:batchLen]
+		for i := range b {
+			b[i] = stream.Next()
+		}
+		p.full[c] <- b
 	}
 }
 
-// profAccess queues one profiler access for asynchronous application.
+// applyProf replays core c's profiler buffers until stopped.
+func (p *pipeline) applyProf(prof *msa.Profiler, c int) {
+	defer p.wg.Done()
+	defer rescue(&p.profPanic[c], p.spare[c])
+	for {
+		select {
+		case b := <-p.apply[c]:
+			for _, a := range b {
+				prof.Access(a)
+			}
+			p.spare[c] <- b[:0]
+		case <-p.stop:
+			return
+		}
+	}
+}
+
+// refill recycles core c's spent batch and installs the next queued one.
+// A running pipeline waits for its prefetcher; a stopped one reports false
+// once the queue is empty, and the caller reads the stream directly.
+func (p *pipeline) refill(c int) bool {
+	if b := p.cur[c]; b != nil {
+		p.free[c] <- b[:0]
+		p.cur[c] = nil
+	}
+	if p.running {
+		p.cur[c] = <-p.full[c]
+	} else {
+		select {
+		case p.cur[c] = <-p.full[c]:
+		default:
+			return false
+		}
+	}
+	if p.cur[c] == nil {
+		p.rethrow(p.genPanic[c])
+	}
+	p.pos[c] = 0
+	return true
+}
+
+// profAccess queues one profiler access for core c's applier.
 func (p *pipeline) profAccess(c int, addr trace.Addr) {
-	buf := p.pb[c]
-	if buf == nil {
-		buf = p.getProfBuf(p.groupOf(c))
+	b := p.pb[c]
+	if b == nil {
+		if b = <-p.spare[c]; b == nil {
+			p.rethrow(p.profPanic[c])
+		}
 	}
-	buf = append(buf, addr)
-	if len(buf) >= profBatchLen {
-		p.profCh[p.groupOf(c)] <- profBatch{core: c, addrs: buf}
-		buf = nil
+	b = append(b, addr)
+	if len(b) == batchLen {
+		p.apply[c] <- b
+		b = nil
 	}
-	p.pb[c] = buf
+	p.pb[c] = b
 }
 
-func (p *pipeline) getProfBuf(g int) []trace.Addr {
-	select {
-	case b := <-p.profFree[g]:
-		return b
-	default:
-		return make([]trace.Addr, 0, profBatchLen)
-	}
-}
-
-// profBarrier flushes every queued profiler access and waits until the
-// appliers have applied them, establishing the happens-before edge the
-// commit thread needs before reading profiler state (repartition's curve
-// extraction and decay).
+// profBarrier flushes each core's partial profiler buffer and waits until
+// its applier has handed back every buffer, establishing the
+// happens-before edge the commit thread needs before reading profiler
+// state (repartition's curve extraction and decay).
 func (p *pipeline) profBarrier() {
-	for c := 0; c < nuca.NumCores; c++ {
-		if len(p.pb[c]) > 0 {
-			p.profCh[p.groupOf(c)] <- profBatch{core: c, addrs: p.pb[c]}
+	for c := range p.pb {
+		if b := p.pb[c]; b != nil {
+			p.apply[c] <- b
 			p.pb[c] = nil
 		}
 	}
-	for g := 0; g < p.groups; g++ {
-		p.profCh[g] <- profBatch{ack: p.acks}
-	}
-	for g := 0; g < p.groups; g++ {
-		<-p.acks
+	var held [poolDepth][]trace.Addr
+	for c := range p.spare {
+		for i := range held {
+			if held[i] = <-p.spare[c]; held[i] == nil {
+				p.rethrow(p.profPanic[c])
+			}
+		}
+		for _, b := range held {
+			p.spare[c] <- b
+		}
 	}
 }
 
-// profBarrier is the System-level entry: a no-op in sequential mode.
+// profBarrier is the System-level entry: a no-op unless a pipelined Run is
+// active.
 func (s *System) profBarrier() {
-	if s.par != nil {
-		s.par.profBarrier()
+	if p := s.pipe; p != nil && p.running {
+		p.profBarrier()
 	}
 }
 
-// stopPipeline winds the executor down: prefetchers stop and hand over
-// their in-flight batches, pending profiler accesses are applied, and every
-// undelivered trace event is spilled into System-owned buffers so the next
-// Run — parallel or sequential — resumes the streams exactly where the
-// generators left them.
-func (s *System) stopPipeline() {
-	p := s.par
-	if p == nil {
-		return
-	}
-	close(p.stop)
-	for g := 0; g < p.groups; g++ {
-		for tb := range p.traceCh[g] {
-			p.backlog[tb.core] = append(p.backlog[tb.core], tb.ev)
-		}
-	}
-	for c := 0; c < nuca.NumCores; c++ {
-		if len(p.pb[c]) > 0 {
-			p.profCh[p.groupOf(c)] <- profBatch{core: c, addrs: p.pb[c]}
-			p.pb[c] = nil
-		}
-	}
-	for g := 0; g < p.groups; g++ {
-		close(p.profCh[g])
-	}
-	p.wg.Wait()
-	// Spill what the commit thread never consumed, in stream order: the
-	// partially consumed current batch first, then the backlog FIFO.
-	for c := 0; c < nuca.NumCores; c++ {
-		var spill []trace.Event
-		if p.pos[c] < len(p.cur[c]) {
-			spill = append(spill, p.cur[c][p.pos[c]:]...)
-		}
-		for _, b := range p.backlog[c] {
-			spill = append(spill, b...)
-		}
-		s.spill[c] = spill
-		s.spillPos[c] = 0
-	}
-	s.par = nil
-}
-
-// nextEvent returns core c's next access: from the pipeline when one is
-// running, otherwise from any events a stopped pipeline spilled, otherwise
-// straight from the stream.
+// nextEvent returns core c's next access: from the pipeline's queued
+// batches while any remain, otherwise straight from the stream.
 func (s *System) nextEvent(c int) trace.Event {
-	if s.par != nil {
-		return s.par.next(c)
-	}
-	if sp := s.spill[c]; len(sp) > s.spillPos[c] {
-		ev := sp[s.spillPos[c]]
-		s.spillPos[c]++
-		if s.spillPos[c] == len(sp) {
-			s.spill[c], s.spillPos[c] = nil, 0
-		}
+	if p := s.pipe; p != nil && (p.pos[c] < len(p.cur[c]) || p.refill(c)) {
+		ev := p.cur[c][p.pos[c]]
+		p.pos[c]++
 		return ev
 	}
 	return s.streams[c].Next()
 }
 
-// profAccess records one L2 access with core c's MSA profiler: directly in
-// sequential mode, asynchronously through the pipeline otherwise.
+// profAccess records one L2 access with core c's MSA profiler: through the
+// pipeline during a pipelined Run, directly otherwise.
 func (s *System) profAccess(c int, addr trace.Addr) {
-	if s.par != nil {
-		s.par.profAccess(c, addr)
+	if p := s.pipe; p != nil && p.running {
+		p.profAccess(c, addr)
 		return
 	}
 	s.profs[c].Access(addr)

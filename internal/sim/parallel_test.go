@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"bankaware/internal/core"
 	"bankaware/internal/msa"
@@ -23,9 +26,8 @@ func parallelTestConfig() Config {
 
 func parallelTestSpecs(t *testing.T) []trace.Spec {
 	t.Helper()
-	names := []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
-	specs := make([]trace.Spec, len(names))
-	for i, n := range names {
+	specs := make([]trace.Spec, len(set1Names))
+	for i, n := range set1Names {
 		s, err := trace.SpecByName(n)
 		if err != nil {
 			t.Fatal(err)
@@ -57,29 +59,61 @@ func digest(s *System, workloads []string) stateDigest {
 	return d
 }
 
-// TestParallelOracle steps a sequential and a parallel system through the
-// same campaign chunk by chunk and requires every observable — results,
-// directory/network/DRAM counters, bank occupancy, profiler state — to
-// match after every chunk. Chunked Run calls also exercise the pipeline's
-// spill/restart path (prefetched events crossing Run boundaries).
+// set1Names is Table III set 1, the mix parallelTestSpecs builds.
+var set1Names = []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
+
+// newExecSystem builds a set-1 system forced onto one executor: pipelined
+// or the sequential reference.
+func newExecSystem(t *testing.T, cfg Config, pipelined bool) *System {
+	t.Helper()
+	sys, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetSimWorkers(execWorkers(pipelined))
+	return sys
+}
+
+// execWorkers is the SetSimWorkers value that forces an executor.
+func execWorkers(pipelined bool) int {
+	if pipelined {
+		return 2
+	}
+	return 1
+}
+
+// requireSameState fails unless two systems agree on every observable —
+// results, directory/network/DRAM counters, bank occupancy and profiler
+// state.
+func requireSameState(t *testing.T, label string, seq, par *System) {
+	t.Helper()
+	if ds, dp := digest(seq, set1Names), digest(par, set1Names); ds != dp {
+		t.Fatalf("%s: state diverged\nsequential: %+v\npipelined:  %+v", label, ds, dp)
+	}
+	for c := 0; c < nuca.NumCores; c++ {
+		hs, hp := seq.profs[c].Histogram(), par.profs[c].Histogram()
+		if len(hs) != len(hp) {
+			t.Fatalf("%s core %d: profiler histogram lengths differ", label, c)
+		}
+		for j := range hs {
+			if hs[j] != hp[j] {
+				t.Fatalf("%s core %d: profiler histograms diverge at depth %d: %d vs %d",
+					label, c, j, hs[j], hp[j])
+			}
+		}
+	}
+}
+
+// TestParallelOracle steps a sequential and a pipelined system through the
+// same campaign chunk by chunk and requires every observable to match
+// after every chunk. Chunked Run calls also exercise the trace batches a
+// stopped pipeline leaves queued for the next Run.
 func TestParallelOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk detailed simulation in -short mode")
 	}
 	cfg := parallelTestConfig()
-	specs := parallelTestSpecs(t)
-	names := []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
-
-	seq, err := New(cfg, core.NewBankAwarePolicy(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(cfg, core.NewBankAwarePolicy(), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.SetSimWorkers(4)
-
+	seq, par := newExecSystem(t, cfg, false), newExecSystem(t, cfg, true)
 	const chunk = 60_000
 	for i := 1; i <= 6; i++ {
 		budget := uint64(i * chunk)
@@ -89,36 +123,21 @@ func TestParallelOracle(t *testing.T) {
 		if err := par.Run(budget); err != nil {
 			t.Fatal(err)
 		}
-		ds, dp := digest(seq, names), digest(par, names)
-		if ds != dp {
-			t.Fatalf("chunk %d: state diverged\nsequential: %+v\nparallel:   %+v", i, ds, dp)
-		}
-		for c := 0; c < nuca.NumCores; c++ {
-			hs, hp := seq.profs[c].Histogram(), par.profs[c].Histogram()
-			if len(hs) != len(hp) {
-				t.Fatalf("chunk %d core %d: profiler histogram lengths differ", i, c)
-			}
-			for j := range hs {
-				if hs[j] != hp[j] {
-					t.Fatalf("chunk %d core %d: profiler histograms diverge at depth %d: %d vs %d",
-						i, c, j, hs[j], hp[j])
-				}
-			}
-		}
+		requireSameState(t, fmt.Sprintf("chunk %d", i), seq, par)
 	}
 	if seq.Epochs() < 3 {
 		t.Fatalf("oracle ran only %d epochs; raise the budget so repartition barriers are exercised", seq.Epochs())
 	}
 }
 
-// TestParallelWorkerCountInvariance pins byte-level result equality across
-// several lane counts, including more lanes than cores.
-func TestParallelWorkerCountInvariance(t *testing.T) {
+// TestPipelinedMatchesSequential pins byte-level result equality between
+// the sequential loop, the forced pipeline and the host default over the
+// warm-up, stats reset and measured phase every campaign runs.
+func TestPipelinedMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed simulation in -short mode")
 	}
 	cfg := parallelTestConfig()
-	names := []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
 	run := func(workers int) Result {
 		sys, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
 		if err != nil {
@@ -132,87 +151,211 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 		if err := sys.Run(300_000); err != nil {
 			t.Fatal(err)
 		}
-		return sys.Result(names)
+		return sys.Result(set1Names)
 	}
 	want := run(1)
-	for _, w := range []int{2, 3, 8, 16} {
+	for _, w := range []int{2, 0} {
 		if got := run(w); got != want {
-			t.Fatalf("workers=%d diverged from sequential:\nwant %+v\ngot  %+v", w, got, want)
+			t.Fatalf("simWorkers=%d diverged from sequential:\nwant %+v\ngot  %+v", w, got, want)
 		}
 	}
 }
 
-// TestParallelMidRunWorkerSwitch flips a system between sequential and
-// parallel execution across Run calls, against a sequential reference on
-// the identical chunk schedule (chunk boundaries themselves affect the
-// min-clock commit order, so the reference must share them). The spill
-// buffer must hand prefetched-but-unconsumed events across every mode
-// switch, keeping the trace streams seamless.
-func TestParallelMidRunWorkerSwitch(t *testing.T) {
+// TestPipelineModeSwitch flips a system pipelined → sequential → pipelined
+// → sequential across Run calls, against a sequential reference on the
+// identical chunk schedule (chunk boundaries themselves affect the
+// min-clock commit order, so the reference must share them). Trace
+// batches a pipelined Run leaves queued must be consumed first by the next
+// Run in either mode, keeping the streams seamless.
+func TestPipelineModeSwitch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed simulation in -short mode")
 	}
 	cfg := parallelTestConfig()
-	names := []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
-	ref, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range []int{4, 1, 2, 1} {
+	ref, mixed := newExecSystem(t, cfg, false), newExecSystem(t, cfg, false)
+	for i, pipelined := range []bool{true, false, true, false} {
 		budget := uint64(60_000 * (i + 1))
 		if err := ref.Run(budget); err != nil {
 			t.Fatal(err)
 		}
-		mixed.SetSimWorkers(w)
+		mixed.SetSimWorkers(execWorkers(pipelined))
 		if err := mixed.Run(budget); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := mixed.Result(names), ref.Result(names); got != want {
-			t.Fatalf("chunk %d (workers=%d): mixed-mode run diverged:\nwant %+v\ngot  %+v", i, w, want, got)
+		requireSameState(t, fmt.Sprintf("chunk %d (pipelined=%v)", i, pipelined), ref, mixed)
+	}
+}
+
+// heapGrowth reports how much live heap building sys and running it to
+// instr instructions per core retains, measured after a full GC.
+func heapGrowth(t *testing.T, pipelined bool, instr uint64) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys := newExecSystem(t, parallelTestConfig(), pipelined)
+	if err := sys.Run(instr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sys)
+	if after.HeapAlloc < before.HeapAlloc {
+		return 0
+	}
+	return after.HeapAlloc - before.HeapAlloc
+}
+
+// TestPipelineRetainsBoundedHeap: a pipelined System may retain only its
+// fixed buffer pool beyond what the sequential loop retains, however long
+// the Run. Unconsumed prefetched batches must stay in the pool, not pile
+// up in per-core queues that grow with the run length.
+func TestPipelineRetainsBoundedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long detailed simulation in -short mode")
+	}
+	const instr = 4_000_000
+	seq := heapGrowth(t, false, instr)
+	par := heapGrowth(t, true, instr)
+	t.Logf("retained heap after Run(%d): sequential %.2f MB, pipelined %.2f MB", instr, float64(seq)/1e6, float64(par)/1e6)
+	if par > seq+1_500_000 {
+		t.Fatalf("pipelined System retains %.2f MB, more than 1.5 MB over the sequential %.2f MB",
+			float64(par)/1e6, float64(seq)/1e6)
+	}
+}
+
+// poolBuffers lists the backing arrays of every trace batch and profiler
+// buffer a stopped pipeline holds, leaving each queue in its order.
+func poolBuffers(p *pipeline) map[uintptr]bool {
+	bufs := map[uintptr]bool{}
+	for c := 0; c < nuca.NumCores; c++ {
+		for _, ch := range []chan []trace.Event{p.full[c], p.free[c]} {
+			for n := len(ch); n > 0; n-- {
+				b := <-ch
+				bufs[uintptr(unsafe.Pointer(unsafe.SliceData(b)))] = true
+				ch <- b
+			}
+		}
+		if b := p.cur[c]; b != nil {
+			bufs[uintptr(unsafe.Pointer(unsafe.SliceData(b)))] = true
+		}
+		for n := len(p.spare[c]); n > 0; n-- {
+			b := <-p.spare[c]
+			bufs[uintptr(unsafe.Pointer(unsafe.SliceData(b)))] = true
+			p.spare[c] <- b
+		}
+	}
+	return bufs
+}
+
+// TestPipelinePoolIsReused: the first pipelined Run builds the buffer pool
+// and later Runs — pipelined or sequential — circulate exactly those
+// buffers, allocating no trace batch or profiler buffer of their own.
+func TestPipelinePoolIsReused(t *testing.T) {
+	sys := newExecSystem(t, parallelTestConfig(), true)
+	if err := sys.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	p := sys.pipe
+	want := poolBuffers(p)
+	if n := len(want); n != 2*poolDepth*nuca.NumCores {
+		t.Fatalf("pool holds %d buffers, want %d", n, 2*poolDepth*nuca.NumCores)
+	}
+	for i, pipelined := range []bool{true, false, true} {
+		sys.SetSimWorkers(execWorkers(pipelined))
+		if err := sys.Run(uint64(i+2) * 20_000); err != nil {
+			t.Fatal(err)
+		}
+		if sys.pipe != p {
+			t.Fatalf("run %d: the pipeline was rebuilt", i)
+		}
+		got := poolBuffers(p)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: pool holds %d buffers, want %d", i, len(got), len(want))
+		}
+		for b := range got {
+			if !want[b] {
+				t.Fatalf("run %d: a buffer outside the pool entered circulation", i)
+			}
+		}
+	}
+	const poolBytes = nuca.NumCores * poolDepth * batchLen * (unsafe.Sizeof(trace.Event{}) + unsafe.Sizeof(trace.Addr(0)))
+	if poolBytes > 256<<10 {
+		t.Fatalf("buffer pool is %d bytes per System, over 256 KiB", poolBytes)
+	}
+}
+
+// failingStream panics once it has delivered left events.
+type failingStream struct {
+	trace.Stream
+	left int
+}
+
+func (f *failingStream) Next() trace.Event {
+	if f.left == 0 {
+		panic("stream exhausted")
+	}
+	f.left--
+	return f.Stream.Next()
+}
+
+// TestPipelineReraisesStreamPanic: a stream that panics on a prefetch
+// goroutine must surface as a panic of Run on the caller's goroutine, as
+// in the sequential loop, so callers such as the campaign runner can
+// recover it; Run must not hang or take the process down.
+func TestPipelineReraisesStreamPanic(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		streams := make([]trace.Stream, nuca.NumCores)
+		for c, spec := range parallelTestSpecs(t) {
+			streams[c] = trace.MustGenerator(spec, statsRNG(uint64(c)),
+				trace.GeneratorConfig{BlocksPerWay: 128, Base: trace.Addr(uint64(c+1) << 40)})
+		}
+		streams[3] = &failingStream{Stream: streams[3], left: 5_000}
+		sys, err := NewWithStreams(parallelTestConfig(), core.NewBankAwarePolicy(), streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.SetSimWorkers(execWorkers(pipelined))
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			_ = sys.Run(100_000)
+			return nil
+		}()
+		if got != "stream exhausted" {
+			t.Fatalf("pipelined=%v: Run recovered %v, want the stream's panic", pipelined, got)
 		}
 	}
 }
 
 // FuzzParallelExecutorOracle is the differential oracle in fuzz form: an
-// arbitrary lane count and an arbitrary chunked budget schedule must leave
-// the parallel system in exactly the state of a sequential system driven
-// through the same schedule. Chunk boundaries stop and restart the pipeline,
-// so the fuzzer also explores the spill buffer's hand-off arithmetic.
+// arbitrary schedule of pipelined and sequential Runs (bit i of modes
+// pipelines chunk i) over an arbitrary chunked budget must leave the
+// system in exactly the state of a sequential system driven through the
+// same chunks. Chunk boundaries stop and restart the pipeline, so the
+// fuzzer also explores the hand-off of queued trace batches between Runs.
 func FuzzParallelExecutorOracle(f *testing.F) {
-	f.Add(uint8(4), uint8(2), uint16(10_000))
-	f.Add(uint8(2), uint8(0), uint16(18_000))
-	f.Add(uint8(17), uint8(3), uint16(3_000))
-	f.Fuzz(func(t *testing.T, lanes, chunks uint8, chunkInstr uint16) {
-		workers := int(lanes%16) + 2
+	f.Add(uint8(0b0101), uint8(3), uint16(10_000))
+	f.Add(uint8(0b0011), uint8(1), uint16(18_000))
+	f.Add(uint8(0b1101), uint8(3), uint16(3_000))
+	f.Fuzz(func(t *testing.T, modes, chunks uint8, chunkInstr uint16) {
 		n := int(chunks%4) + 1
 		step := uint64(chunkInstr)%20_000 + 2_000
 		cfg := parallelTestConfig()
 		cfg.EpochCycles = 40_000
-		seq, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := New(cfg, core.NewBankAwarePolicy(), parallelTestSpecs(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par.SetSimWorkers(workers)
-		names := []string{"apsi", "galgel", "gcc", "mgrid", "applu", "mesa", "facerec", "gzip"}
+		seq, par := newExecSystem(t, cfg, false), newExecSystem(t, cfg, false)
 		for i := 1; i <= n; i++ {
+			pipelined := modes>>(i-1)&1 == 1
 			budget := uint64(i) * step
 			if err := seq.Run(budget); err != nil {
 				t.Fatal(err)
 			}
+			par.SetSimWorkers(execWorkers(pipelined))
 			if err := par.Run(budget); err != nil {
 				t.Fatal(err)
 			}
-			if ds, dp := digest(seq, names), digest(par, names); ds != dp {
-				t.Fatalf("workers=%d chunk %d/%d (step %d): state diverged\nsequential: %+v\nparallel:   %+v",
-					workers, i, n, step, ds, dp)
+			if ds, dp := digest(seq, set1Names), digest(par, set1Names); ds != dp {
+				t.Fatalf("modes=%04b chunk %d/%d (step %d): state diverged\nsequential: %+v\nmixed:      %+v",
+					modes, i, n, step, ds, dp)
 			}
 		}
 	})

@@ -194,15 +194,11 @@ type System struct {
 	survBanks  []int
 	lastCurves []core.MissCurve
 
-	// Parallel-execution state (see parallel.go): the configured lane
-	// bound, the run-scoped pipeline while a parallel Run is active, and
-	// the per-core trace events a stopped pipeline prefetched but the
-	// commit thread never consumed — the generators have already advanced
-	// past them, so the next Run must drain them first.
+	// Parallel-execution state (see parallel.go): the executor choice set
+	// by SetSimWorkers, and the pipeline with its buffer pool, built by the
+	// first pipelined Run and kept for the System's lifetime.
 	simWorkers int
-	par        *pipeline
-	spill      [nuca.NumCores][]trace.Event
-	spillPos   [nuca.NumCores]int
+	pipe       *pipeline
 
 	nextEpoch int64
 	nextCheck int64
@@ -246,7 +242,12 @@ func New(cfg Config, policy core.Policy, specs []trace.Spec) (*System, error) {
 }
 
 // NewWithStreams builds a system over caller-provided access streams (e.g.
-// phased generators or sharing workloads).
+// phased generators or sharing workloads). Each stream is advanced by a
+// single goroutine, which may not be the caller's: a pipelined Run
+// generates a core's trace ahead of time on a goroutine of its own. So
+// distinct streams must not share mutable state, and a stream may be asked
+// for events that a Run ends before consuming; the next Run consumes them
+// first.
 func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -636,11 +637,11 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 	for c := range s.finished {
 		s.finished[c] = s.cores[c].Instructions() >= instructions
 	}
-	if s.simWorkers > 1 {
+	if s.pipelined() {
 		s.startPipeline()
-		// The shutdown settles all queued profiler work and spills
-		// prefetched trace events, so post-Run state — and any later Run at
-		// any worker setting — matches the sequential execution exactly.
+		// The shutdown settles all queued profiler work, so post-Run state
+		// matches the sequential execution exactly; prefetched trace
+		// batches stay queued and the next Run consumes them first.
 		defer s.stopPipeline()
 	}
 	for {

@@ -111,7 +111,6 @@ type Runner struct {
 	backoff    time.Duration
 	jobTimeout time.Duration
 	checkpoint string
-	simWorkers int
 	fidelity   experiments.Fidelity
 }
 
@@ -141,19 +140,6 @@ func WithContext(ctx context.Context) RunnerOption {
 // select GOMAXPROCS. Results do not depend on the worker count.
 func WithWorkers(n int) RunnerOption {
 	return func(r *Runner) { r.workers = n }
-}
-
-// WithSimWorkers bounds the execution lanes inside each detailed
-// simulation: 0 or 1 (the default) runs the classic sequential loop, n >= 2
-// pipelines trace generation and profiler bookkeeping onto n-1 extra lanes
-// feeding the simulation's commit thread. Like WithWorkers it is purely an
-// execution knob — results and reports are byte-identical for every value.
-// WithWorkers parallelises across a campaign's simulations, WithSimWorkers
-// within each one; they compose, so keep their product near the machine's
-// core count. Monte Carlo campaigns (analytic, no detailed simulation)
-// ignore it.
-func WithSimWorkers(n int) RunnerOption {
-	return func(r *Runner) { r.simWorkers = n }
 }
 
 // WithFidelity selects the execution engine behind the Runner's
@@ -251,10 +237,9 @@ func (r *Runner) progressFunc() ProgressFunc {
 func (r *Runner) experimentOptions() experiments.Options {
 	opt := experiments.Options{
 		Workers: r.workers, Progress: r.progressFunc(), Observe: r.observe(),
-		Faults:     r.faults,
-		Retries:    r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
-		SimWorkers: r.simWorkers,
-		Fidelity:   r.fidelity,
+		Faults:  r.faults,
+		Retries: r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
+		Fidelity: r.fidelity,
 	}
 	if r.hasSeed {
 		opt.Seed = r.seed
